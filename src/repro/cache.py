@@ -16,7 +16,10 @@ boundaries:
   so both stay part of the content.  Graph node insertion order does *not*
   carry meaning (:class:`~repro.tasks.graph.TaskGraph` reorders tasks into a
   canonical topological order at construction), so permuting it leaves the
-  fingerprint unchanged.
+  fingerprint unchanged.  A :class:`~repro.scenarios.grid.ScenarioGrid` is
+  digested from its columns in one pass (scheme tag
+  :data:`GRID_FINGERPRINT_SCHEME`), and :func:`scenario_row_digests` keys
+  single condition slices.
 * :class:`TableCache` -- a bounded LRU mapping composite fingerprints to
   built objects, capped by entry count and estimated byte size, with
   hit/miss/evict counters.  :class:`~repro.devices.simulator.SimulatedExecutor`
@@ -45,6 +48,7 @@ __all__ = [
     "canonical",
     "estimate_nbytes",
     "fingerprint",
+    "scenario_row_digests",
     "table_key",
     "table_key_from_fingerprint",
 ]
@@ -70,74 +74,88 @@ def _canonical_dataclass(obj: Any) -> tuple:
     return (type(obj).__name__, pairs)
 
 
-_CANONICAL_ATTR = "_repro_canonical"
-
-
-@lru_cache(maxsize=None)
-def _condition_axis_class() -> type:
-    from .scenarios.conditions import ConditionAxis
-
-    return ConditionAxis
-
-
-@lru_cache(maxsize=None)
-def _scenario_class() -> type:
-    from .scenarios.conditions import Scenario
-
-    return Scenario
-
-
-def _canonical_scenario(obj: Any) -> tuple:
-    """Direct canonical form of a :class:`Scenario` -- the grid-fingerprint
-    hot path.
-
-    Bitwise-identical to :func:`_canonical_dataclass` output (pinned by
-    tests), but assembled without the generic field walk: ``__post_init__``
-    guarantees ``settings`` is a tuple of ``(axis, float)`` pairs and axes
-    carry a memoized canonical form, so a 10**5-scenario fleet fingerprints
-    without 10**6 recursive ``canonical`` dispatches.
-    """
-    settings = tuple(
-        (_canonical_condition_axis(axis), _canonical_float(value))
-        for axis, value in obj.settings
-    )
-    return (
-        "Scenario",
-        (
-            ("name", obj.name),
-            ("settings", settings),
-            ("weight", _canonical_float(obj.weight)),
-        ),
-    )
-
-
 @lru_cache(maxsize=None)
 def _domain_classes() -> tuple:
     # Late imports memoized once: cache is a leaf module every layer above may
-    # import, but re-running the import machinery on every recursive
-    # ``canonical`` call dominates grid fingerprinting at fleet scale.
+    # import, and ``canonical`` recurses through every field of a platform.
     from .devices.platform import Platform
+    from .scenarios.grid import ScenarioGrid
     from .tasks.chain import TaskChain
     from .tasks.graph import TaskGraph
     from .tasks.task import MathTask
 
-    return Platform, TaskChain, TaskGraph, MathTask
+    return Platform, TaskChain, TaskGraph, MathTask, ScenarioGrid
 
 
-def _canonical_condition_axis(obj: Any) -> tuple:
-    """Canonical form of a condition axis, memoized on the instance.
+#: Version tag of the scenario-grid fingerprint scheme.  Grids hash their
+#: columns (see :func:`_scenario_grid_digest`); bump the tag whenever that
+#: encoding changes, so keys of different schemes can never collide.
+GRID_FINGERPRINT_SCHEME = "scenario-grid/columnar-v2"
 
-    A sampled fleet references the *same* handful of frozen axis objects from
-    every one of its (possibly 10**5) scenarios; re-walking the axis dataclass
-    per scenario dominates grid fingerprinting at fleet scale.  Axes are
-    frozen value types with primitive fields, so the canonical tuple is stable
-    for the instance's lifetime and the memo cannot go stale.
+_GRID_DIGEST_ATTR = "_repro_grid_digest"
+_I8 = np.dtype("<i8")
+_F8 = np.dtype("<f8")
+
+
+@lru_cache(maxsize=4096)
+def _pattern_digest(pattern: tuple) -> bytes:
+    # Axes are frozen value types, so a pattern's digest is a pure function
+    # of the (hashable) pattern: grids and delta rebuilds share one walk.
+    return hashlib.sha256(repr(canonical(pattern)).encode("utf-8")).digest()
+
+
+def _scenario_grid_digest(grid: Any) -> str:
+    """One SHA-256 over a grid's columns, memoized on the grid.
+
+    The payload is the scheme tag, the pattern count and value-matrix shape,
+    the SHA-256 of each pattern's canonical encoding, the little-endian bytes
+    of the pattern-index, value and weight arrays, and the names (their
+    lengths, then their UTF-8 concatenation, so the split is unambiguous).
+    Grids are normalized at construction (patterns numbered by first
+    appearance, zero padding), so equal content always digests equally, in
+    any process.
     """
-    cached = getattr(obj, _CANONICAL_ATTR, None)
-    if cached is None:
-        cached = _canonical_dataclass(obj)
-        object.__setattr__(obj, _CANONICAL_ATTR, cached)
-    return cached
+    cached = getattr(grid, _GRID_DIGEST_ATTR, None)
+    if cached is not None:
+        return cached
+    h = hashlib.sha256(GRID_FINGERPRINT_SCHEME.encode("ascii"))
+    h.update(np.array([len(grid.patterns), *grid.values.shape], dtype=_I8).tobytes())
+    for pattern in grid.patterns:
+        h.update(_pattern_digest(pattern))
+    h.update(np.ascontiguousarray(grid.pattern_index, dtype=_I8).tobytes())
+    h.update(np.ascontiguousarray(grid.values, dtype=_F8).tobytes())
+    h.update(np.ascontiguousarray(grid.weights, dtype=_F8).tobytes())
+    names = grid.names
+    h.update(np.fromiter(map(len, names), dtype=_I8, count=len(names)).tobytes())
+    h.update("".join(names).encode("utf-8", "surrogatepass"))
+    digest = h.hexdigest()
+    object.__setattr__(grid, _GRID_DIGEST_ATTR, digest)
+    return digest
+
+
+def scenario_row_digests(grid: Any, rows: "np.ndarray | None" = None) -> list[str]:
+    """Per-row content digests of a scenario grid, computed in one batch.
+
+    A row's digest covers what its condition slice depends on -- its axis
+    pattern and values -- and not its name or weight, so a row and an equal
+    standalone scenario (a one-row grid) share a digest wherever they sit.
+    ``rows`` restricts the result to some rows (in the given order).
+    """
+    index = (grid.pattern_index if rows is None else grid.pattern_index[rows]).tolist()
+    values = np.ascontiguousarray(grid.values if rows is None else grid.values[rows], dtype=_F8)
+    if values.shape[1]:
+        row_bytes = values.view(f"V{8 * values.shape[1]}").ravel().tolist()
+    else:
+        row_bytes = [b""] * len(index)
+    prefixes = {}
+    for p in set(index):
+        pattern = grid.patterns[p]
+        prefixes[p] = (b"scenario-row/v2\0" + _pattern_digest(pattern), 8 * len(pattern))
+    digests = []
+    for p, row in zip(index, row_bytes):
+        prefix, width = prefixes[p]
+        digests.append(hashlib.sha256(prefix + row[:width]).hexdigest())
+    return digests
 
 
 def canonical(obj: Any) -> Any:
@@ -148,7 +166,7 @@ def canonical(obj: Any) -> Any:
     get shape-aware treatment; unknown types raise ``TypeError`` rather than
     silently fingerprinting an identity.
     """
-    Platform, TaskChain, TaskGraph, MathTask = _domain_classes()
+    Platform, TaskChain, TaskGraph, MathTask, ScenarioGrid = _domain_classes()
 
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
@@ -177,11 +195,10 @@ def canonical(obj: Any) -> Any:
         return ("TaskGraph", obj.name, tasks, tuple(obj.edges))
     if isinstance(obj, MathTask):
         return ("MathTask", type(obj).__name__, obj.name, canonical(obj.cost()))
+    if isinstance(obj, ScenarioGrid):
+        # Row order is semantic: it is the scenario axis of every grid table.
+        return ("ScenarioGrid", GRID_FINGERPRINT_SCHEME, _scenario_grid_digest(obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, _condition_axis_class()):
-            return _canonical_condition_axis(obj)
-        if type(obj) is _scenario_class():
-            return _canonical_scenario(obj)
         return _canonical_dataclass(obj)
     if isinstance(obj, Mapping):
         return ("mapping", tuple(sorted((canonical(k), canonical(v)) for k, v in obj.items())))
@@ -228,89 +245,6 @@ def cached_fingerprint(obj: Any) -> str:
     return digest
 
 
-_GRID_FINGERPRINT_ATTR = "_repro_grid_fingerprint"
-_GRID_FINGERPRINT_PARTS_ATTR = "_repro_grid_fingerprint_parts"
-
-
-# Late imports memoized once: cache is a leaf module, but its hot keying paths
-# should not re-run the import machinery on every call.
-@lru_cache(maxsize=None)
-def _scenario_grid_class() -> type:
-    from .scenarios.grid import ScenarioGrid
-
-    return ScenarioGrid
-
-
-@lru_cache(maxsize=None)
-def _platform_class() -> type:
-    from .devices.platform import Platform
-
-    return Platform
-
-
-def _grid_fingerprint_parts(scenarios: Any) -> tuple:
-    """Ordered per-scenario digests of a grid, memoized on the grid."""
-    cached = getattr(scenarios, _GRID_FINGERPRINT_PARTS_ATTR, None)
-    if cached is not None:
-        return cached
-    parts = tuple(cached_fingerprint(s) for s in scenarios.scenarios)
-    try:
-        object.__setattr__(scenarios, _GRID_FINGERPRINT_PARTS_ATTR, parts)
-    except (AttributeError, TypeError):
-        pass
-    return parts
-
-
-def _grid_digest(parts: tuple) -> str:
-    # Parts are fixed-width hex digests, so a NUL join is injective and much
-    # cheaper than repr-ing a tuple of s strings.
-    payload = "\x00".join(("ScenarioGrid",) + parts).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _scenarios_fingerprint(scenarios: Any) -> str:
-    """Fingerprint of a table key's ``scenarios`` part.
-
-    A :class:`~repro.scenarios.grid.ScenarioGrid` is digested as the ordered
-    combination of its scenarios' :func:`cached_fingerprint` values (memoized
-    on the grid), so re-keying a grid that swaps one scenario -- the delta
-    rebuild hot path -- re-hashes ``s`` digests instead of re-canonicalizing
-    every axis of every scenario.
-    """
-    if scenarios is None:
-        return cached_fingerprint(None)
-    if not isinstance(scenarios, _scenario_grid_class()):
-        return cached_fingerprint(scenarios)
-    cached = getattr(scenarios, _GRID_FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    digest = _grid_digest(_grid_fingerprint_parts(scenarios))
-    try:
-        object.__setattr__(scenarios, _GRID_FINGERPRINT_ATTR, digest)
-    except (AttributeError, TypeError):
-        pass
-    return digest
-
-
-def seed_updated_grid_fingerprint(base: Any, updated: Any, changed: "Any") -> None:
-    """Pre-seed ``updated``'s grid fingerprint from ``base``'s memoized parts.
-
-    Delta rebuilds construct a fresh grid differing from ``base`` in a handful
-    of rows; re-digesting only those rows (``changed`` is their index set)
-    keeps re-keying O(changes) instead of O(scenarios).  The seeded digest is
-    exactly what :func:`_scenarios_fingerprint` would compute from scratch.
-    """
-    parts = list(_grid_fingerprint_parts(base))
-    for i in changed:
-        parts[i] = cached_fingerprint(updated.scenarios[i])
-    parts = tuple(parts)
-    try:
-        object.__setattr__(updated, _GRID_FINGERPRINT_PARTS_ATTR, parts)
-        object.__setattr__(updated, _GRID_FINGERPRINT_ATTR, _grid_digest(parts))
-    except (AttributeError, TypeError):
-        pass
-
-
 def table_key(
     workload: Any,
     platform: Any,
@@ -354,7 +288,7 @@ def table_key_from_fingerprint(
     rather than the workload object itself; this entry point lets them re-key
     updated tables under the same scheme as :func:`table_key`.
     """
-    if platform is None or isinstance(platform, _platform_class()):
+    if platform is None or isinstance(platform, _domain_classes()[0]):
         platform_part = ("platform", cached_fingerprint(platform))
     else:
         platform_part = ("platforms", tuple(cached_fingerprint(p) for p in platform))
@@ -363,7 +297,7 @@ def table_key_from_fingerprint(
         workload_fingerprint,
         platform_part,
         ("devices", canonical(tuple(devices) if devices is not None else None)),
-        ("scenarios", _scenarios_fingerprint(scenarios)),
+        ("scenarios", cached_fingerprint(scenarios)),
         ("faults", cached_fingerprint(faults)),
         ("retry", cached_fingerprint(retry)),
         ("timeout", cached_fingerprint(timeout)),

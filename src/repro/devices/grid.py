@@ -21,8 +21,9 @@ Construction has two paths that agree bitwise.  The **fused** path (used by
 :class:`~repro.scenarios.grid.ScenarioGrid` of vectorized axes) never derives
 per-scenario ``Platform`` objects: it broadcasts the base platform's
 parameters into :class:`~repro.devices.params.PlatformParams` arrays, applies
-each condition axis' ``scale_arrays`` hook across all scenario rows at once,
-and feeds the arrays to the same formula core.  The **materializing** path
+each condition axis' ``scale_arrays`` hook once per (axis pattern, settings
+position) straight from the grid's value columns, and feeds the arrays to the
+same formula core.  The **materializing** path
 (:func:`build_grid_tables` over pre-derived platforms) stays as the
 differential reference and the fallback for custom axes without the hook.
 
@@ -42,15 +43,15 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from ..cache import (
     cached_fingerprint,
     canonical,
-    seed_updated_grid_fingerprint,
+    scenario_row_digests,
     table_key_from_fingerprint,
 )
 from ..tasks.chain import TaskChain
@@ -72,7 +73,7 @@ from .tables import build_tables, resolve_aliases
 if TYPE_CHECKING:
     from ..cache import TableCache
     from ..scenarios.conditions import Scenario
-    from ..scenarios.grid import ScenarioGrid
+    from ..scenarios.grid import ScenarioGrid, ScenarioRows
 
 __all__ = [
     "GridBuildContext",
@@ -223,6 +224,42 @@ class GridBuildContext:
         )
 
 
+#: Stored ``fingerprint`` of delta-rebuilt tables until first read (see
+#: :class:`_DerivedKey`); not a hex digest, so it cannot collide with a key.
+_DERIVE_KEY = "derive:build-context"
+
+
+class _DerivedKey:
+    """The ``fingerprint`` field of grid tables.
+
+    Stores what it is given, except :data:`_DERIVE_KEY`: that is replaced on
+    first read by the key :func:`~repro.devices.tables.build_tables` would
+    attach, derived from ``build_context``.  Delta rebuilds store the marker,
+    so a drift loop that never asks for keys never re-digests its grid.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.attr = f"_{name}"
+
+    def __get__(self, tables, owner=None) -> str:
+        if tables is None:
+            return ""  # the field default
+        key = tables.__dict__[self.attr]
+        if key == _DERIVE_KEY:
+            context = tables.build_context
+            key = table_key_from_fingerprint(
+                context.workload_fingerprint,
+                context.platform,
+                devices=context.devices,
+                scenarios=context.scenarios,
+            )
+            tables.__dict__[self.attr] = key
+        return key
+
+    def __set__(self, tables, key: str) -> None:
+        tables.__dict__[self.attr] = key
+
+
 @dataclass(frozen=True)
 class GridCostTables:
     """Cost tables of one chain under every platform of a scenario grid.
@@ -264,8 +301,9 @@ class GridCostTables:
     #: Name of the workload the tables were built from (chain/graph name).
     workload: str = ""
     #: Content fingerprint of the build configuration (see
-    #: :func:`repro.devices.tables.build_tables`); empty for hand-built tables.
-    fingerprint: str = ""
+    #: :func:`repro.devices.tables.build_tables`); empty for hand-built
+    #: tables, derived on first read for delta-rebuilt ones.
+    fingerprint: str = _DerivedKey()
     #: Build provenance enabling delta rebuilds; ``None`` for tables built
     #: from pre-derived platform sequences.
     build_context: "GridBuildContext | None" = None
@@ -347,11 +385,19 @@ class GridCostTables:
 
     def updated_many(
         self,
-        replacements: "Mapping[int, Scenario] | Sequence[tuple[int, Scenario]]",
+        replacements: "ScenarioRows | Mapping[int, Scenario] | Sequence[tuple[int, Scenario]]",
         *,
         slice_cache: "TableCache | None" = None,
     ) -> "GridCostTables":
-        """Batched :meth:`updated`: replace several scenarios in one pass."""
+        """Batched :meth:`updated`: replace several scenarios in one pass.
+
+        ``replacements`` is a :class:`~repro.scenarios.grid.ScenarioRows`
+        (what :meth:`SampledFleet.resample_users
+        <repro.fleet.SampledFleet.resample_users>` returns: row indices plus
+        a columnar replacement grid) or any ``{index: Scenario}`` mapping /
+        ``(index, scenario)`` sequence.  The replaced rows' condition slices
+        are computed in one fused pass and spliced into copies of the arrays.
+        """
         context = self.build_context
         if context is None:
             raise ValueError(
@@ -360,69 +406,48 @@ class GridCostTables:
                 "(build_tables(..., scenarios=...) or executor.grid_cost_tables) "
                 "rather than from pre-derived platforms"
             )
-        replacements = dict(replacements)
-        if not replacements:
-            return self
-        Scenario, ScenarioGrid = _scenario_classes()
+        from ..scenarios.conditions import Scenario
+        from ..scenarios.grid import ScenarioGrid, ScenarioRows
 
-        normalized: dict[int, "Scenario"] = {}
-        for index, scenario in replacements.items():
-            i = self._scenario_index(index)
-            if i in normalized:
-                raise ValueError(f"duplicate replacement for scenario index {i}")
-            if not isinstance(scenario, Scenario):
-                raise TypeError(f"expected a Scenario replacement, got {scenario!r}")
-            normalized[i] = scenario
-        entries = list(context.scenarios.scenarios)
-        for i, scenario in normalized.items():
-            entries[i] = scenario
-        new_grid = ScenarioGrid(tuple(entries))  # re-validates name uniqueness
-
-        order = sorted(normalized)
-        slices: dict[int, GridSlice] = {}
-        to_build: list[int] = []
-        if slice_cache is not None:
-            for i in order:
-                hit = slice_cache.get(_slice_key(context, normalized[i]))
-                if hit is not None:
-                    slices[i] = hit
-                else:
-                    to_build.append(i)
+        s = self.n_scenarios
+        if isinstance(replacements, ScenarioRows):
+            rows = replacements.rows
+            outside = (rows < -s) | (rows >= s)
+            if outside.any():
+                self._scenario_index(int(rows[outside][0]))  # raises IndexError
+            rows = rows % s
+            unique, counts = np.unique(rows, return_counts=True)
+            if (counts > 1).any():
+                raise ValueError(
+                    f"duplicate replacement for scenario index {int(unique[counts > 1][0])}"
+                )
+            replacement = replacements.replacement
         else:
-            to_build = order
-        if to_build:
-            built = _scenario_slices(context, [normalized[i] for i in to_build])
-            for i, piece in zip(to_build, built):
-                slices[i] = piece
-                if slice_cache is not None:
-                    slice_cache.put(_slice_key(context, normalized[i]), piece)
+            normalized: dict[int, "Scenario"] = {}
+            for index, scenario in dict(replacements).items():
+                i = self._scenario_index(index)
+                if i in normalized:
+                    raise ValueError(f"duplicate replacement for scenario index {i}")
+                if not isinstance(scenario, Scenario):
+                    raise TypeError(f"expected a Scenario replacement, got {scenario!r}")
+                normalized[i] = scenario
+            if not normalized:
+                return self
+            rows = np.array(list(normalized), dtype=np.intp)
+            replacement = ScenarioGrid(normalized.values())
+        new_grid = context.scenarios.with_rows(rows, replacement)  # re-validates names
 
-        changes: dict[str, np.ndarray] = {}
-        for name in _SLICE_FIELDS:
-            arr = getattr(self, name).copy()
-            for i in order:
-                arr[i] = getattr(slices[i], name)
-            changes[name] = arr
-        new_context = replace(context, scenarios=new_grid)
-        new_fingerprint = ""
-        if self.fingerprint:
-            # Invariant: equals build_tables' key for the updated config, so
-            # executor-level caches recognise the rebuilt tables.  Seeding the
-            # new grid's digest from the old one's memoized per-scenario parts
-            # keeps the re-key O(replacements) instead of O(scenarios).
-            seed_updated_grid_fingerprint(context.scenarios, new_grid, order)
-            new_fingerprint = table_key_from_fingerprint(
-                context.workload_fingerprint,
-                context.platform,
-                devices=context.devices,
-                scenarios=new_grid,
-            )
+        changes = {name: getattr(self, name).copy() for name in _SLICE_FIELDS}
+        _, stats = _slice_values(context, replacement, slice_cache, out=changes, at=rows)
         return replace(
             self,
             platforms=ScenarioPlatforms(context.platform, new_grid),
-            build_context=new_context,
-            fingerprint=new_fingerprint,
-            slice_stats=GridSliceStats(served=len(order) - len(to_build), built=len(to_build)),
+            build_context=replace(context, scenarios=new_grid),
+            # Keyed tables stay keyed: on first read the key is derived from
+            # the new context, equal to build_tables' key for it, so
+            # executor-level caches recognise the rebuilt tables.
+            fingerprint=_DERIVE_KEY if self.__dict__["_fingerprint"] else "",
+            slice_stats=stats,
             **changes,
         )
 
@@ -497,18 +522,10 @@ def _attach_build_context(
     return replace(tables, build_context=_grid_build_context(workload, platform, scenarios, devices))
 
 
-@lru_cache(maxsize=None)
-def _scenario_classes() -> tuple:
-    """``(Scenario, ScenarioGrid)``, imported once off the delta hot path."""
-    from ..scenarios.conditions import Scenario
-    from ..scenarios.grid import ScenarioGrid
-
-    return Scenario, ScenarioGrid
-
-
-def _slice_key(context: GridBuildContext, scenario: "Scenario") -> tuple:
-    """Content-addressed cache key of one scenario's condition slice."""
-    return context._slice_key_prefix + (cached_fingerprint(scenario),)
+def _slice_keys(context: GridBuildContext, grid: "ScenarioGrid") -> list[tuple]:
+    """Content-addressed cache keys of every row's condition slice."""
+    prefix = context._slice_key_prefix
+    return [prefix + (digest,) for digest in scenario_row_digests(grid)]
 
 
 def _missing_link_topology(
@@ -697,26 +714,23 @@ def _fused_params(
     )
 
 
-def _apply_grid_conditions(params: PlatformParams, entries: "Sequence[Scenario]") -> None:
-    """Apply every scenario's condition axes to the parameter arrays in place.
+def _apply_grid_conditions(
+    params: PlatformParams, grid: "ScenarioGrid", rows: "Sequence[int] | None" = None
+) -> None:
+    """Apply the condition columns of ``grid`` (or of some ``rows``) in place.
 
-    Walks the settings *positions* in order and groups the scenarios that pin
-    the same axis at each position into one ``scale_arrays`` call (axes are
-    hashable value types).  Each scenario's axes still apply in its own
-    settings order, and the grouped rows are disjoint, so the arithmetic per
-    row is exactly the scalar sequence of apply() calls.
+    One ``scale_arrays`` call per (pattern, position): settings positions are
+    walked in order, so each row's axes apply in its own settings order, and
+    the rows of different patterns are disjoint, so the arithmetic per row is
+    exactly the scalar sequence of apply() calls.
     """
-    max_steps = max((len(scenario.settings) for scenario in entries), default=0)
-    for step in range(max_steps):
-        groups: "dict[Any, tuple[list[int], list[float]]]" = {}
-        for row, scenario in enumerate(entries):
-            if step < len(scenario.settings):
-                axis, value = scenario.settings[step]
-                rows, values = groups.setdefault(axis, ([], []))
-                rows.append(row)
-                values.append(value)
-        for axis, (rows, values) in groups.items():
-            axis.scale_arrays(params, np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=float))
+    index = grid.pattern_index if rows is None else grid.pattern_index[rows]
+    values = grid.values if rows is None else grid.values[rows]
+    members = [np.flatnonzero(index == p) for p in range(len(grid.patterns))]
+    for step in range(values.shape[1]):
+        for pattern, pattern_rows in zip(grid.patterns, members):
+            if step < len(pattern) and pattern_rows.size:
+                pattern[step].scale_arrays(params, pattern_rows, values[pattern_rows, step])
 
 
 def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays, nonhost: np.ndarray) -> dict:
@@ -897,12 +911,8 @@ def _build_grid_tables_fused(
     content fingerprint instead of recomputed (see
     :meth:`GridCostTables.cache_stats`).
     """
-    from ..scenarios.conditions import vectorized_axis
-
-    for scenario in scenarios.scenarios:
-        for axis, _ in scenario.settings:
-            if not vectorized_axis(axis):
-                return None
+    if not _all_vectorized(scenarios):
+        return None
     context = _grid_build_context(workload, platform, scenarios, devices)
     if isinstance(workload, TaskGraph):
         base = _fused_grid_tables(
@@ -922,95 +932,103 @@ def _fused_grid_tables(
     context: GridBuildContext,
 ) -> GridCostTables:
     aliases = resolve_aliases(platform, devices)
-    host = platform.host
-    costs = context.task_costs
-    entries = scenarios.scenarios
-    s, m = len(entries), len(aliases)
-    nonhost = np.array([alias != host for alias in aliases])
-
-    keys: "list[tuple] | None" = None
-    served: dict[int, GridSlice] = {}
-    if slice_cache is not None:
-        keys = [_slice_key(context, scenario) for scenario in entries]
-        for i, key in enumerate(keys):
-            hit = slice_cache.get(key)
-            if hit is not None:
-                served[i] = hit
-    need = [i for i in range(s) if i not in served]
-
-    sub = None
-    missing: "frozenset | None" = None
-    if need:
-        params = PlatformParams.gather(platform, len(need))
-        _apply_grid_conditions(params, [entries[i] for i in need])
-        pa = _fused_params(params, aliases, host)
-        sub = _grid_value_arrays(costs, pa, nonhost)
-        missing = pa.missing
-    if missing is None:
-        missing = _missing_link_topology(platform, aliases, host)[0]
-
-    if not served:
-        values = sub if sub is not None else {}
-    else:
-        any_slice = next(iter(served.values()))
-        rows = np.asarray(need, dtype=np.intp)
-        values = {}
-        for name in _SLICE_FIELDS:
-            tail = sub[name].shape[1:] if sub is not None else getattr(any_slice, name).shape
-            arr = np.empty((s,) + tail)
-            if need:
-                arr[rows] = sub[name]
-            for i, piece in served.items():
-                arr[i] = getattr(piece, name)
-            values[name] = arr
-    if slice_cache is not None and need:
-        for pos, i in enumerate(need):
-            piece = GridSlice(**{name: sub[name][pos].copy() for name in _SLICE_FIELDS})
-            slice_cache.put(keys[i], piece)
-
-    static = _static_value_arrays(costs, nonhost, m)
+    nonhost = np.array([alias != platform.host for alias in aliases])
+    values, stats = _slice_values(context, scenarios, slice_cache)
+    static = _static_value_arrays(context.task_costs, nonhost, len(aliases))
     return GridCostTables(
         task_names=tuple(chain.task_names),
         platforms=ScenarioPlatforms(platform, scenarios),
         aliases=aliases,
         device_order=tuple(platform.devices),
-        missing_links=missing,
+        missing_links=_missing_link_topology(platform, aliases, platform.host)[0],
         workload=chain.name,
         build_context=context,
-        slice_stats=GridSliceStats(served=len(served), built=len(need)),
+        slice_stats=stats,
         **values,
         **static,
     )
 
 
-def _scenario_slices(context: GridBuildContext, entries: "Sequence[Scenario]") -> list[GridSlice]:
-    """Compute the condition slices of some scenarios of a build context.
+def _all_vectorized(grid: "ScenarioGrid") -> bool:
+    from ..scenarios.conditions import vectorized_axis
+
+    return all(vectorized_axis(axis) for pattern in grid.patterns for axis in pattern)
+
+
+def _slice_values(
+    context: GridBuildContext,
+    grid: "ScenarioGrid",
+    slice_cache: "TableCache | None",
+    out: "dict[str, np.ndarray] | None" = None,
+    at: "np.ndarray | None" = None,
+) -> "tuple[dict[str, np.ndarray], GridSliceStats]":
+    """The condition slices of every row of ``grid``.
+
+    Row ``j`` lands at ``out[name][at[j]]``, or in fresh row-ordered arrays
+    when ``out`` is None.  With a ``slice_cache``, rows whose slice was built
+    before are served by content key (:func:`~repro.cache.scenario_row_digests`)
+    and the rest are computed in one pass and stored; without one, no
+    per-row key is made.
+    """
+    served: dict[int, GridSlice] = {}
+    keys: "list[tuple] | None" = None
+    if slice_cache is not None:
+        keys = _slice_keys(context, grid)
+        for j, key in enumerate(keys):
+            hit = slice_cache.get(key)
+            if hit is not None:
+                served[j] = hit
+    need = [j for j in range(len(grid)) if j not in served] if served else range(len(grid))
+    built = _condition_values(context, grid, need if served else None) if need else None
+    stats = GridSliceStats(served=len(served), built=len(need))
+    if keys is not None:
+        for pos, j in enumerate(need):
+            piece = GridSlice(**{name: built[name][pos].copy() for name in _SLICE_FIELDS})
+            slice_cache.put(keys[j], piece)
+    if out is None and not served:
+        return built, stats
+    if out is None:
+        sample = next(iter(served.values()))
+        out = {
+            name: np.empty((len(grid),) + getattr(sample, name).shape)
+            for name in _SLICE_FIELDS
+        }
+        at = np.arange(len(grid))
+    built_at = at[need] if served else at
+    served_at = [(int(at[j]), piece) for j, piece in served.items()]
+    for name in _SLICE_FIELDS:
+        target = out[name]
+        if need:
+            target[built_at] = built[name]
+        for row, piece in served_at:
+            target[row] = getattr(piece, name)
+    return out, stats
+
+
+def _condition_values(
+    context: GridBuildContext, grid: "ScenarioGrid", rows: "Sequence[int] | None" = None
+) -> dict:
+    """Compute the condition slices of ``grid``'s rows (or of some ``rows``).
 
     Uses the fused array path when every axis is vectorized, the materializing
     apply_conditions path otherwise; either way the formula core is elementwise
     per scenario row, so the slices match a full rebuild bitwise.
     """
-    from ..scenarios.conditions import apply_conditions, vectorized_axis
+    from ..scenarios.conditions import apply_conditions
 
     platform = context.platform
     aliases = resolve_aliases(platform, context.devices)
     host = platform.host
     nonhost = np.array([alias != host for alias in aliases])
-    fused = all(
-        vectorized_axis(axis) for scenario in entries for axis, _ in scenario.settings
-    )
-    if fused:
-        params = PlatformParams.gather(platform, len(entries))
-        _apply_grid_conditions(params, entries)
+    if _all_vectorized(grid):
+        params = PlatformParams.gather(platform, len(grid) if rows is None else len(rows))
+        _apply_grid_conditions(params, grid, rows)
         pa = _fused_params(params, aliases, host)
     else:
+        entries = grid if rows is None else [grid[i] for i in rows]
         platforms = tuple(apply_conditions(platform, scenario) for scenario in entries)
         pa = _materialized_params(platforms, aliases, host, tuple(platform.devices))
-    values = _grid_value_arrays(context.task_costs, pa, nonhost)
-    return [
-        GridSlice(**{name: values[name][i].copy() for name in _SLICE_FIELDS})
-        for i in range(len(entries))
-    ]
+    return _grid_value_arrays(context.task_costs, pa, nonhost)
 
 
 @dataclass(frozen=True)

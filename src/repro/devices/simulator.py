@@ -529,10 +529,13 @@ class SimulatedExecutor:
 
         ``replacements`` maps scenario indices (negative indices count from
         the end) to their new :class:`~repro.scenarios.conditions.Scenario`
-        definitions.  Only the affected condition slices are recomputed --
-        unchanged slices (and replacement slices seen before) are served from
-        :attr:`table_cache` by content fingerprint -- and the rebuilt tables
-        are registered in the cache under their new fingerprint, so a later
+        definitions -- a plain mapping, or the columnar
+        :class:`~repro.scenarios.grid.ScenarioRows` that
+        :meth:`~repro.fleet.SampledFleet.resample_users` returns.  Only the
+        affected condition slices are recomputed -- unchanged slices (and
+        replacement slices seen before) are served from :attr:`table_cache`
+        by content fingerprint -- and the rebuilt tables are registered in
+        the cache under their new fingerprint, so a later
         :meth:`grid_cost_tables` call with the updated grid is a cache hit.
         """
         updated = tables.updated_many(replacements, slice_cache=self.table_cache)

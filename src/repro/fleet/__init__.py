@@ -11,10 +11,10 @@ builds, delta rebuilds, and scenario sharding):
   distributions (:class:`UniformAxis` / :class:`NormalAxis` /
   :class:`ChoiceAxis`);
 * **sampling** (:mod:`repro.fleet.sample`): :func:`sample_fleet` draws a
-  seeded, reproducible :class:`SampledFleet` -- one weighted scenario per
-  user -- whose grid flows unchanged through ``build_tables`` /
+  seeded, reproducible :class:`SampledFleet` -- one weighted row per user,
+  drawn column-wise into a columnar grid -- whose grid flows unchanged through ``build_tables`` /
   ``search_grid`` / ``plan_grid`` / ``PlacementService``; redrawing a subset
-  (:meth:`SampledFleet.resample_users`) yields the replacement map for
+  (:meth:`SampledFleet.resample_users`) yields the replacement rows for
   delta rebuilds;
 * **coupling** (:mod:`repro.fleet.contention`): :class:`ContentionModel`
   turns per-device tenant counts into

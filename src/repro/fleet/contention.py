@@ -21,8 +21,9 @@ Two modes share the loop:
   equilibrium.
 
 Loads enter evaluation as ordinary per-device ``DeviceLoadFactor`` settings
-appended to every user's scenario, so the contended grid is built by the same
-fused vectorized engine as every other grid, and the returned fixed point is
+appended to every user's scenario (extra value columns after each row's own
+settings), so the contended grid is built by the same fused vectorized
+engine as every other grid, and the returned fixed point is
 **differential-testable**: rebuilding the loaded grid directly and evaluating
 the returned placements reproduces :attr:`ContentionResult.per_user_values`
 bitwise (the contract ``tests/fleet`` pins).
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..scenarios.conditions import DeviceLoadFactor, Scenario
+from ..scenarios.conditions import DeviceLoadFactor
 from ..scenarios.grid import ScenarioGrid
 from .sample import SampledFleet
 
@@ -159,22 +160,27 @@ def _loaded_grid(
     single-device :class:`DeviceLoadFactor` setting so the load composes
     multiplicatively with any load axis the user's own scenario pins.
     """
-    extra = tuple(
+    extra = [
         (DeviceLoadFactor(devices=(alias,)), float(load))
         for alias, load in zip(aliases, loads)
         if load != 1.0
-    )
+    ]
     if not extra:
         return fleet.grid
-    return ScenarioGrid(
-        tuple(
-            Scenario(
-                name=scenario.name,
-                settings=scenario.settings + extra,
-                weight=scenario.weight,
-            )
-            for scenario in fleet.grid.scenarios
-        )
+    grid = fleet.grid
+    lengths = np.array([len(pattern) for pattern in grid.patterns])[grid.pattern_index]
+    values = np.zeros((len(grid), grid.values.shape[1] + len(extra)))
+    values[:, : grid.values.shape[1]] = grid.values
+    rows = np.arange(len(grid))
+    for j, (_, load) in enumerate(extra):
+        values[rows, lengths + j] = load
+    axes = tuple(axis for axis, _ in extra)
+    return ScenarioGrid.from_columns(
+        [pattern + axes for pattern in grid.patterns],
+        grid.pattern_index,
+        values,
+        grid.weights,
+        grid.names,
     )
 
 

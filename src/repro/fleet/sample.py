@@ -1,21 +1,22 @@
 """Sampling a concrete fleet: spec -> weighted ``ScenarioGrid``.
 
 :func:`sample_fleet` draws ``n_users`` users from a :class:`FleetSpec` with a
-seeded generator and materialises them as one weighted
-:class:`~repro.scenarios.ScenarioGrid` -- one scenario per user, named
-``"<segment>/u<index>"``, carrying the user's sampled axis values as ordinary
-scenario settings.  The grid flows through the existing vectorized grid
-engine *unchanged*: fused array-space builds, ``TableCache`` slice caching,
-scenario sharding, and robust objectives all apply to fleets for free.
+seeded generator into one weighted :class:`~repro.scenarios.ScenarioGrid` --
+one row per user, named ``"<segment>/u<index>"``.  Each segment's column
+draws go straight into the grid's value matrix (one axis pattern per
+segment), so no per-user object is built.  The grid flows through the
+vectorized grid engine *unchanged*: fused array-space builds, ``TableCache``
+slice caching, scenario sharding, and robust objectives all apply to fleets
+for free.
 
 Scenario weights are ``segment.weight / n_segment_users``: each segment's
 probability mass is split evenly over its sampled users, so the fleet's
 weighted objectives estimate the population-level quantity regardless of how
 the user count is apportioned (weights are finite and positive by
-construction -- the guarantee the weight-validation sweep of this PR pins).
+construction).
 
-:meth:`SampledFleet.resample_users` redraws a subset of users in place and
-returns the ``{index: Scenario}`` replacement map that
+:meth:`SampledFleet.resample_users` redraws a subset of users and returns
+the replacement rows that
 :meth:`~repro.devices.simulator.SimulatedExecutor.update_grid_tables` /
 ``GridCostTables.updated_many`` consume -- a drifted fleet is a delta
 rebuild, not a full build.
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..scenarios.conditions import Scenario
-from ..scenarios.grid import ScenarioGrid
+from ..scenarios.grid import ScenarioGrid, ScenarioRows
 from .segments import FleetSpec, UserSegment
 
 __all__ = ["SampledFleet", "sample_fleet"]
@@ -41,30 +42,25 @@ def _as_rng(seed: "int | np.random.Generator") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sample_segment_users(
-    segment: UserSegment,
-    indices: Sequence[int],
-    weight: float,
-    rng: np.random.Generator,
-) -> list[Scenario]:
-    """One scenario per user of one segment, axes drawn column-wise.
+def _draw_columns(
+    blocks: "Sequence[tuple[UserSegment, int]]", rng: np.random.Generator
+) -> "tuple[list[tuple], np.ndarray, np.ndarray]":
+    """Patterns, pattern index and value matrix of consecutive user blocks.
 
-    Each axis sampler draws all of the segment's users in one vectorized call
-    (column-major), so redrawing the same index set with the same generator
-    state reproduces the draws bit-for-bit.
+    Block ``b`` is ``count`` users of one segment.  Each axis sampler draws
+    a whole block in one vectorized call, straight into its column of the
+    value matrix, so redrawing the same blocks with the same generator state
+    reproduces the draws bit-for-bit.
     """
-    n = len(indices)
-    columns = [sampler.sample(rng, n) for sampler in segment.axes]
-    scenarios = []
-    for row, index in enumerate(indices):
-        settings = tuple(
-            (sampler.axis, float(column[row]))
-            for sampler, column in zip(segment.axes, columns)
-        )
-        scenarios.append(
-            Scenario(name=f"{segment.name}/u{index}", settings=settings, weight=weight)
-        )
-    return scenarios
+    counts = [count for _, count in blocks]
+    values = np.zeros((sum(counts), max(len(segment.axes) for segment, _ in blocks)))
+    cursor = 0
+    for segment, count in blocks:
+        for column, sampler in enumerate(segment.axes):
+            values[cursor : cursor + count, column] = sampler.sample(rng, count)
+        cursor += count
+    patterns = [tuple(sampler.axis for sampler in segment.axes) for segment, _ in blocks]
+    return patterns, np.repeat(np.arange(len(blocks)), counts), values
 
 
 @dataclass(frozen=True)
@@ -108,49 +104,51 @@ class SampledFleet:
         indices = self.users_of_segment(name)
         if not indices:
             raise ValueError(f"segment {name!r} received no users in this sample")
-        return ScenarioGrid(tuple(self.grid[i] for i in indices))
+        return self.grid.take(indices)
 
     def resample_users(
         self,
         indices: Sequence[int],
         seed: "int | np.random.Generator",
-    ) -> "tuple[SampledFleet, dict[int, Scenario]]":
+    ) -> "tuple[SampledFleet, Mapping[int, Scenario]]":
         """Redraw some users from their segments' distributions.
 
-        Returns the drifted fleet plus the ``{index: Scenario}`` replacement
-        map for :meth:`GridCostTables.updated_many` /
-        :meth:`SimulatedExecutor.update_grid_tables` -- the delta-rebuild
-        path: untouched users' condition slices are reused, only the redrawn
-        ones are recomputed.  Weights and segment membership are preserved
-        (drift moves a user's conditions, not its probability mass).
+        Returns the drifted fleet plus the replacement rows -- a
+        :class:`~repro.scenarios.grid.ScenarioRows`, i.e. an ``{index:
+        Scenario}`` mapping kept in columns -- for
+        :meth:`GridCostTables.updated_many` /
+        :meth:`SimulatedExecutor.update_grid_tables`.  That is the
+        delta-rebuild path: untouched users' condition slices are reused,
+        only the redrawn ones are recomputed.  Weights, names and segment
+        membership are preserved (drift moves a user's conditions, not its
+        probability mass).
         """
         rng = _as_rng(seed)
         indices = list(dict.fromkeys(int(i) for i in indices))
         for i in indices:
             if not 0 <= i < self.n_users:
                 raise IndexError(f"user index {i} out of range [0, {self.n_users})")
-        replacements: dict[int, Scenario] = {}
+        if not indices:
+            return self, {}
         # Group by segment so each segment's axis draws stay vectorized.
         by_segment: dict[int, list[int]] = {}
         for i in indices:
             by_segment.setdefault(self.segment_of_user[i], []).append(i)
-        for segment_index, users in by_segment.items():
-            segment = self.spec.segments[segment_index]
-            weight = self.grid[users[0]].weight
-            for user, scenario in zip(
-                users, _sample_segment_users(segment, users, weight, rng)
-            ):
-                replacements[user] = scenario
-        scenarios = list(self.grid.scenarios)
-        for i, scenario in replacements.items():
-            scenarios[i] = scenario
+        rows = np.array([i for users in by_segment.values() for i in users], dtype=np.intp)
+        replacement = ScenarioGrid.from_columns(
+            *_draw_columns(
+                [(self.spec.segments[k], len(users)) for k, users in by_segment.items()], rng
+            ),
+            self.grid.weights[rows],
+            [self.grid.names[i] for i in rows.tolist()],
+        )
         drifted = SampledFleet(
             spec=self.spec,
-            grid=ScenarioGrid(tuple(scenarios)),
+            grid=self.grid.with_rows(rows, replacement),
             segment_of_user=self.segment_of_user,
             seed=None,
         )
-        return drifted, replacements
+        return drifted, ScenarioRows(rows, replacement)
 
 
 def sample_fleet(
@@ -177,20 +175,20 @@ def sample_fleet(
     """
     rng = _as_rng(seed)
     counts = spec.apportion(n_users)
-    scenarios: list[Scenario] = []
-    segment_of_user: list[int] = []
+    blocks = [(segment, count) for segment, count in zip(spec.segments, counts) if count]
+    names: list[str] = []
     cursor = 0
-    for segment_index, (segment, count) in enumerate(zip(spec.segments, counts)):
-        if count == 0:
-            continue
-        indices = range(cursor, cursor + count)
-        weight = segment.weight / count
-        scenarios.extend(_sample_segment_users(segment, indices, weight, rng))
-        segment_of_user.extend([segment_index] * count)
+    for segment, count in blocks:
+        names.extend([f"{segment.name}/u{index}" for index in range(cursor, cursor + count)])
         cursor += count
+    grid = ScenarioGrid.from_columns(
+        *_draw_columns(blocks, rng),
+        np.concatenate([np.full(count, segment.weight / count) for segment, count in blocks]),
+        names,
+    )
     return SampledFleet(
         spec=spec,
-        grid=ScenarioGrid(tuple(scenarios)),
-        segment_of_user=tuple(segment_of_user),
+        grid=grid,
+        segment_of_user=tuple(np.repeat(np.arange(len(counts)), counts).tolist()),
         seed=seed if isinstance(seed, int) else None,
     )

@@ -13,8 +13,10 @@ turns drift into data:
 * a :class:`Scenario` names one point in condition space (axes pinned to
   values, plus a weight for expectation-style objectives);
 * a :class:`ScenarioGrid` is an ordered cartesian-or-explicit set of
-  scenarios, with :func:`link_degradation_grid` building the canonical
-  wifi->lte sweep;
+  scenarios stored as columns (axis patterns, a value matrix, weights,
+  names; ``Scenario`` objects are row views built on demand), with
+  :class:`ScenarioRows` carrying replacement rows for delta rebuilds and
+  :func:`link_degradation_grid` building the canonical wifi->lte sweep;
 * :func:`apply_conditions` derives a scenario's platform through
   ``Platform.with_devices`` / ``Platform.with_links``.
 
@@ -37,7 +39,7 @@ from .conditions import (
     Scenario,
     apply_conditions,
 )
-from .grid import ScenarioGrid, link_degradation_grid
+from .grid import ScenarioGrid, ScenarioRows, link_degradation_grid
 
 __all__ = [
     "ConditionAxis",
@@ -51,6 +53,7 @@ __all__ = [
     "LinkDropoutRate",
     "Scenario",
     "ScenarioGrid",
+    "ScenarioRows",
     "apply_conditions",
     "link_degradation_grid",
 ]

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -79,10 +78,12 @@ class ConditionAxis:
     that defines their ``apply``, so the two transforms evolve together) are
     eligible for the fused grid build: instead of deriving one platform per
     scenario, the builder gathers the base platform's parameters once and
-    calls ``scale_arrays`` with the scenario rows and values that pin this
-    axis.  The hook must perform the *same* elementwise float arithmetic as
-    ``apply`` (and raise the same validation errors), which makes the fused
-    tables bitwise identical to the materializing ones.
+    calls ``scale_arrays`` once per (axis pattern, settings position) of the
+    columnar grid, with the rows of that pattern and their values at that
+    position.  The hook must perform the *same* elementwise float arithmetic
+    as ``apply`` (and raise the same validation errors), which makes the
+    fused tables bitwise identical to the materializing ones.  Axes are
+    hashable value types: grids deduplicate patterns by equality.
     """
 
     name: str = "condition"
@@ -95,8 +96,9 @@ class ConditionAxis:
     ) -> None:
         """Vectorized form of :meth:`apply` over parameter arrays.
 
-        ``rows`` are the scenario-row indices that pin this axis and
-        ``values`` (same length, float64) their axis values; implementations
+        ``rows`` are the scenario-row indices of one axis pattern that pins
+        this axis at one settings position, and ``values`` (same length,
+        float64) their values there; implementations
         mutate ``params.device`` / ``params.link`` arrays in place at those
         rows.  The base class raises: axes without the hook route grid builds
         through the materializing fallback.
@@ -121,13 +123,7 @@ def vectorized_axis(axis: ConditionAxis) -> bool:
     versa) would break the bitwise scalar==vectorized contract, so it falls
     back to the materializing path.
     """
-    return _vectorized_axis_class(type(axis))
-
-
-@lru_cache(maxsize=None)
-def _vectorized_axis_class(cls: type) -> bool:
-    # The MRO walk is pure in the class definition, so grid builds (which ask
-    # once per scenario setting) share one verdict per axis class.
+    cls = type(axis)
     scale_owner = next((k for k in cls.__mro__ if "scale_arrays" in vars(k)), None)
     if scale_owner is None or scale_owner is ConditionAxis:
         return False
@@ -554,6 +550,8 @@ class Scenario:
 
     ``weight`` is the scenario's probability mass / importance for
     expectation-style robust objectives (weights need not be normalised).
+    Condition values must be finite.  Inside a :class:`ScenarioGrid` a
+    scenario is a row view, built only when asked for.
     """
 
     name: str
@@ -569,7 +567,14 @@ class Scenario:
             raise ValueError(
                 f"scenario weight must be finite and non-negative, got {self.weight!r}"
             )
-        object.__setattr__(self, "settings", tuple((axis, float(v)) for axis, v in self.settings))
+        settings = tuple((axis, float(v)) for axis, v in self.settings)
+        for axis, value in settings:
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"condition values must be finite: scenario {self.name!r} "
+                    f"sets {axis.name!r} to {value!r}"
+                )
+        object.__setattr__(self, "settings", settings)
 
     def describe(self) -> str:
         """``axis=value`` summary of every pinned condition."""

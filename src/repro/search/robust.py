@@ -67,15 +67,17 @@ def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
     every robust value into NaN with no error -- hence the explicit
     finiteness guard.
     """
-    coerced = tuple(float(w) for w in weights)
-    for i, w in enumerate(coerced):
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(
-                f"scenario weights must be finite and non-negative, got weights[{i}]={w!r}"
-            )
-    if sum(coerced) <= 0:
+    array = np.asarray(weights if isinstance(weights, np.ndarray) else list(weights), dtype=float)
+    bad = ~np.isfinite(array) | (array < 0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            "scenario weights must be finite and non-negative, "
+            f"got weights[{i}]={float(array[i])!r}"
+        )
+    if not (array > 0).any():
         raise ValueError("at least one scenario weight must be positive")
-    return coerced
+    return tuple(array.tolist())
 
 
 def _base_values(base: "str | Objective", grid: "GridExecutionResult") -> np.ndarray:
@@ -178,7 +180,7 @@ class ExpectedValueObjective(RobustObjective):
 
     def with_weights(self, weights: Sequence[float]) -> "ExpectedValueObjective":
         """Copy with explicit weights (the driver binds grid weights here)."""
-        return ExpectedValueObjective(base=self.base, label=self.label, weights=tuple(weights))
+        return ExpectedValueObjective(base=self.base, label=self.label, weights=weights)
 
     def bind_weights(self, weights: Sequence[float]) -> "ExpectedValueObjective":
         return self if self.weights is not None else self.with_weights(weights)
@@ -206,14 +208,16 @@ def _weighted_quantile_columns(
     weights and ``q = 1.0`` it is exactly the column maximum, and scenarios
     carrying zero weight can never be picked ahead of the quantile point.
     The reduction touches each column independently, so it is invariant to
-    how the placement axis is chunked.
+    how the placement axis is chunked.  Columns are sorted as contiguous rows
+    of the transpose (a stable sort has one answer, and ``cumsum`` adds in
+    order along either layout, so the result is bitwise the same).
     """
-    order = np.argsort(values, axis=0, kind="stable")
-    sorted_values = np.take_along_axis(values, order, axis=0)
-    cumulative = np.cumsum(weights[order], axis=0)
-    target = q * cumulative[-1]
-    picks = (cumulative >= target).argmax(axis=0)
-    return sorted_values[picks, np.arange(values.shape[1])]
+    columns = np.ascontiguousarray(values.T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    cumulative = np.cumsum(weights[order], axis=1)
+    picks = (cumulative >= q * cumulative[:, -1:]).argmax(axis=1)
+    placements = np.arange(columns.shape[0])
+    return columns[placements, order[placements, picks]]
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ class QuantileObjective(RobustObjective):
 
     def with_weights(self, weights: Sequence[float]) -> "QuantileObjective":
         return QuantileObjective(
-            base=self.base, label=self.label, q=self.q, weights=tuple(weights)
+            base=self.base, label=self.label, q=self.q, weights=weights
         )
 
     def bind_weights(self, weights: Sequence[float]) -> "QuantileObjective":
@@ -301,7 +305,7 @@ class SLOObjective(RobustObjective):
 
     def with_weights(self, weights: Sequence[float]) -> "SLOObjective":
         return SLOObjective(
-            base=self.base, label=self.label, budget=self.budget, weights=tuple(weights)
+            base=self.base, label=self.label, budget=self.budget, weights=weights
         )
 
     def bind_weights(self, weights: Sequence[float]) -> "SLOObjective":
@@ -488,9 +492,7 @@ def _scenario_entries(scenarios) -> tuple["ScenarioGrid", tuple[str, ...], np.nd
                     f"expected Scenario instances or a ScenarioGrid, got {entry!r}"
                 )
         scenarios = ScenarioGrid(entries)
-    names = tuple(scenario.name for scenario in scenarios)
-    weights = np.array([scenario.weight for scenario in scenarios], dtype=float)
-    return scenarios, names, weights
+    return scenarios, scenarios.names, np.array(scenarios.weights)
 
 
 def _iter_grid_chunks(
@@ -994,8 +996,6 @@ def search_grid(
     if n_shards > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        from ..scenarios import ScenarioGrid
-
         for lo, hi in _shard_ranges(0, tables.n_scenarios, n_shards):
             scenario_pools.append(
                 ProcessPoolExecutor(
@@ -1003,7 +1003,7 @@ def search_grid(
                     initializer=_init_scenario_shard,
                     initargs=(
                         executor.platform,
-                        ScenarioGrid(grid.scenarios[lo:hi]),
+                        grid.take(np.arange(lo, hi)),
                         chain,
                         devices,
                         fault_spec,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from repro.devices import ChainCostTables, SimulatedExecutor, edge_cluster_platform, lte, wifi_ac
+from repro.devices import SimulatedExecutor, build_tables, edge_cluster_platform, lte, wifi_ac
 from repro.devices.grid import execute_placements_grid
 from repro.measurement.noise import NoNoise
 from repro.offload import placement_matrix
@@ -90,7 +90,7 @@ def main() -> None:
 
     # Compose the Section IV decision model with robustness criteria on the
     # materialised grid (small enough here: top candidates only in RAM).
-    tables = ChainCostTables.build_grid(chain, scenarios.platforms(platform))
+    tables = build_tables(chain, scenarios.platforms(platform))
     grid = execute_placements_grid(tables, placement_matrix(k, m))
     for criterion in ("worst_case", "expected", "regret"):
         model = RobustDecisionModel(DecisionModel(cost_weight=1000.0), criterion=criterion)

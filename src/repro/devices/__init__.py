@@ -24,7 +24,6 @@ from .batch import (
     BatchExecutionResult,
     ChainCostTables,
     GraphCostTables,
-    build_cost_tables,
     execute_placements,
 )
 from .device import DeviceSpec
@@ -53,7 +52,6 @@ __all__ = [
     "BatchExecutionResult",
     "ChainCostTables",
     "GraphCostTables",
-    "build_cost_tables",
     "execute_placements",
     "GridCostTables",
     "GraphGridCostTables",

@@ -1,9 +1,9 @@
-"""Vectorized batch execution engine: evaluate many placements in one pass.
+"""Vectorized batch execution: evaluate many placements in one pass.
 
 The sequential :meth:`~repro.devices.simulator.SimulatedExecutor.execute` walks
 a task chain in a Python loop, once per placement -- fine for the paper's
 ``2**3 = 8`` splits, hopeless for the ``m**k`` spaces its conclusion worries
-about.  This module evaluates *all* placements of a workload at once:
+about.  This module holds the per-platform side of batch evaluation:
 
 * :class:`ChainCostTables` precomputes, per ``(task, device)``, the busy time
   (compute + startup), the host<->device transfer time/energy/bytes, and, per
@@ -11,15 +11,22 @@ about.  This module evaluates *all* placements of a workload at once:
 * :class:`GraphCostTables` extends the tables with a
   :class:`~repro.tasks.graph.TaskGraph`'s dependency structure -- same
   per-entry values, evaluated level by level along the DAG;
-* :func:`execute_placements` takes an ``(n_placements, n_tasks)`` integer
-  device-index matrix and computes every scalar field of an
-  :class:`~repro.devices.simulator.ExecutionRecord` with array operations.
+* :class:`BatchExecutionResult` holds every scalar field of an
+  :class:`~repro.devices.simulator.ExecutionRecord` as one array per field,
+  and replays single rows as full records (:meth:`BatchExecutionResult.record`).
 
-The arithmetic is organised so the results are **bitwise identical** to the
-sequential loop: per-task quantities come from the same scalar computations
-(the tables), and all accumulations fold left in task order exactly like the
-sequential accumulators (a plain ``np.sum`` would use pairwise summation and
-drift in the last ulp for long chains).
+There is one execution kernel per cost semantics, and it lives in
+:mod:`repro.devices.grid`.  A plain batch (:meth:`ChainCostTables.execute`,
+:func:`execute_placements`) is the ``batch(0)`` view of a one-scenario grid:
+the tables are wrapped as a :class:`~repro.devices.grid.GridCostTables` with
+``np.newaxis`` views (built once per tables object), evaluated by the grid
+kernel, and the single scenario is returned carrying the caller's tables.
+
+Results are **bitwise identical** to the sequential loop: per-task quantities
+come from the same scalar computations (the tables), and all accumulations
+fold left in task order exactly like the sequential accumulators (a plain
+``np.sum`` would use pairwise summation and drift in the last ulp for long
+chains).
 
 For DAG workloads the timing model changes where the structure demands it:
 a task starts when its slowest predecessor has finished *and* its device is
@@ -31,30 +38,23 @@ host exactly like a chain's first task, and energy/bytes/cost remain plain
 sums over tasks and edges.  On a *linear* graph every one of these rules
 degenerates to the chain rule -- the device-availability term never exceeds
 the predecessor's finish time there -- and the results are bitwise identical
-to the chain engine.
+to the chain kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..tasks.chain import TaskChain
 from ..tasks.graph import TaskGraph
-from .costmodel import (
-    PENALTY_MESSAGE_BYTES,
-    finalize_execution,
-    penalty_cost,
-    task_device_cost,
-)
+from .costmodel import finalize_execution, penalty_cost, task_device_cost
 from .platform import Platform
-from .simulator import (
-    ExecutionRecord,
-    TaskExecutionRecord,
-)
-from .tables import build_tables, resolve_aliases
+from .simulator import ExecutionRecord, TaskExecutionRecord
+from .tables import resolve_aliases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (grid imports us)
     from .grid import GridCostTables
@@ -63,7 +63,6 @@ __all__ = [
     "ChainCostTables",
     "GraphCostTables",
     "BatchExecutionResult",
-    "build_cost_tables",
     "execute_placements",
     "as_placement_matrix",
     "placement_labels",
@@ -119,8 +118,21 @@ class ChainCostTables:
         return len(self.aliases)
 
     def execute(self, placements: np.ndarray) -> "BatchExecutionResult":
-        """Evaluate a placement batch against these tables (protocol entry)."""
-        return execute_placements(self, placements)
+        """Evaluate a placement batch against these tables (protocol entry).
+
+        Runs the grid kernel on the one-scenario view of these tables and
+        returns its ``batch(0)`` view, carrying these tables.
+        """
+        from .grid import execute_placements_grid
+
+        return execute_placements_grid(self._grid, placements)._view(0, self)
+
+    @cached_property
+    def _grid(self) -> "GridCostTables":
+        """These tables as a one-scenario grid (views, built once per object)."""
+        from .grid import _one_scenario_grid
+
+        return _one_scenario_grid(self)
 
     @classmethod
     def build(
@@ -198,26 +210,6 @@ class ChainCostTables:
             workload=chain.name,
         )
 
-    @classmethod
-    def build_grid(
-        cls,
-        chain: TaskChain,
-        platforms: "Sequence[Platform]",
-        devices: Sequence[str] | None = None,
-    ) -> "GridCostTables":
-        """Condition-stacked tables of one chain over several scenario platforms.
-
-        The platforms (typically :meth:`repro.scenarios.ScenarioGrid.platforms`
-        output) must share device set, host and link topology; the returned
-        :class:`~repro.devices.grid.GridCostTables` stacks every scenario's
-        tables along a leading condition axis, each slice bitwise identical to
-        :meth:`build` on that platform.  Feed it to
-        :func:`~repro.devices.grid.execute_placements_grid`.
-        """
-        from .grid import build_grid_tables
-
-        return build_grid_tables(chain, platforms, devices)
-
 
 @dataclass(frozen=True)
 class GraphCostTables(ChainCostTables):
@@ -250,24 +242,6 @@ class GraphCostTables(ChainCostTables):
         )
         return as_graph_tables(base, graph.predecessor_positions)
 
-    @classmethod
-    def build_grid(
-        cls,
-        graph: TaskGraph,
-        platforms: "Sequence[Platform]",
-        devices: Sequence[str] | None = None,
-    ) -> "GridCostTables":
-        """Condition-stacked graph tables over several scenario platforms.
-
-        The graph analogue of :meth:`ChainCostTables.build_grid`: returns a
-        :class:`~repro.devices.grid.GraphGridCostTables` whose per-scenario
-        slices are :class:`GraphCostTables`, each bitwise identical to
-        :meth:`build` on that platform.
-        """
-        from .grid import build_grid_tables
-
-        return build_grid_tables(graph, platforms, devices)
-
 
 def as_graph_tables(
     base: ChainCostTables, pred_positions: tuple[tuple[int, ...], ...]
@@ -275,19 +249,6 @@ def as_graph_tables(
     """Attach DAG structure to already-built chain tables (shared with the grid)."""
     values = {f.name: getattr(base, f.name) for f in fields(ChainCostTables)}
     return GraphCostTables(**values, pred_positions=pred_positions)
-
-
-def build_cost_tables(
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    devices: Sequence[str] | None = None,
-) -> ChainCostTables:
-    """Build the cost tables matching the workload type (chain or graph).
-
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(workload, platform, devices=devices)
 
 
 def as_placement_matrix(
@@ -515,252 +476,12 @@ def execute_placements(tables: ChainCostTables, placements: np.ndarray) -> Batch
 
     ``placements`` must be an ``(n_placements, n_tasks)`` integer matrix of
     positions into ``tables.aliases`` (see :func:`as_placement_matrix`).
-    :class:`GraphCostTables` route through the DAG engine (critical-path
-    latency, per-edge penalty hops); :class:`ChainCostTables` keep the serial
-    chain fold.  Either way the result is a :class:`BatchExecutionResult`, so
-    every downstream layer (search, selection, scenarios, measurements)
-    consumes graph batches unchanged.
+    Delegates to :meth:`ChainCostTables.execute`: graph tables get the DAG
+    semantics (critical-path latency, per-edge penalty hops), chain tables
+    the serial chain fold, and either way the result is a
+    :class:`BatchExecutionResult`.
     """
-    P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
-    P = P.astype(np.intp, copy=False)  # one cast up front instead of per gather
-    if isinstance(tables, GraphCostTables):
-        return _execute_graph_placements(tables, P)
-    n, k = P.shape
-    m = tables.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = tables.busy[task_idx, P]
-    hostio_time_pt = tables.hostio_time[task_idx, P]
-    hostio_bytes_pt = tables.hostio_bytes[task_idx, P]
-    energy_in_pt = tables.energy_in[task_idx, P]
-    energy_out_pt = tables.energy_out[task_idx, P]
-    pen_time_pt = np.empty((n, k))
-    pen_energy_pt = np.empty((n, k))
-    pen_bytes_pt = np.empty((n, k))
-    pen_time_pt[:, 0] = tables.first_penalty_time[P[:, 0]]
-    pen_energy_pt[:, 0] = tables.first_penalty_energy[P[:, 0]]
-    pen_bytes_pt[:, 0] = tables.first_penalty_bytes[P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, 1:] = tables.penalty_time[src, dst]
-        pen_energy_pt[:, 1:] = tables.penalty_energy[src, dst]
-        pen_bytes_pt[:, 1:] = tables.penalty_bytes[src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if tables.missing_links and np.isnan(transfer_pt).any():
-        # A placement traverses a device pair without a platform link: reject
-        # it like the sequential executor does (placements avoiding the
-        # missing links evaluate fine on partially linked platforms).
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = tables.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[i, t]):
-            a, b = tables.platform.host, current
-        else:
-            a = tables.platform.host if t == 0 else tables.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], tables.aliases)[0]!r})"
-        )
-
-    # Left folds in task order: bitwise identical to the sequential accumulators.
-    total_time = np.zeros(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        total_time += busy_pt[:, t] + transfer_pt[:, t]
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, t]
-        transfer_energy += energy_out_pt[:, t]
-        transfer_energy += pen_energy_pt[:, t]
-        # Per-device accumulation via boolean masks (x * True == x, x * False
-        # == 0.0, and adding 0.0 is a bitwise no-op for our non-negative
-        # finite values) -- the same fold the sequential dict does, but
-        # without a fancy-index scatter per task.
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += busy_pt[:, t] * mask
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-
-    return _finalize_placements(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-
-
-def _finalize_placements(
-    tables: ChainCostTables,
-    P: np.ndarray,
-    total_time: np.ndarray,
-    transferred: np.ndarray,
-    transfer_energy: np.ndarray,
-    busy_by_device: np.ndarray,
-    flops_by_device: np.ndarray,
-) -> BatchExecutionResult:
-    """Per-device energy/cost finalization shared by the chain and graph engines."""
-    n = P.shape[0]
-    platform = tables.platform
-    power_active = np.array([platform.device(a).power_active_w for a in tables.aliases])
-    power_idle = np.array([platform.device(a).power_idle_w for a in tables.aliases])
-    cost_per_hour = np.array([platform.device(a).cost_per_hour for a in tables.aliases])
-    active = busy_by_device * power_active
-    idle = np.maximum(total_time[:, None] - busy_by_device, 0.0) * power_idle
-
-    # The sequential path folds the per-device terms in platform order over
-    # *all* platform devices.  Platform devices absent from the candidate set
-    # have zero busy time there, so their active-energy and operating-cost
-    # terms are exactly 0.0 -- but they still idle for the whole execution,
-    # so their idle energy must enter the total.
-    column = {alias: j for j, alias in enumerate(tables.aliases)}
-    operating_cost = np.zeros(n)
-    active_sum = np.zeros(n)
-    idle_sum = np.zeros(n)
-    for alias in platform.devices:
-        j = column.get(alias)
-        if j is None:
-            idle_sum += np.maximum(total_time - 0.0, 0.0) * platform.device(alias).power_idle_w
-            continue
-        operating_cost += (cost_per_hour[j] * busy_by_device[:, j]) / 3600.0
-        active_sum += active[:, j]
-        idle_sum += idle[:, j]
-    energy_total = active_sum + idle_sum + transfer_energy
-
-    return BatchExecutionResult(
-        tables=tables,
-        placements=P,
-        total_time_s=total_time,
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=active,
-        idle_j=idle,
-        energy_total_j=energy_total,
-        operating_cost=operating_cost,
-    )
-
-
-# ----------------------------------------------------------------------------
-# DAG engine: level-ordered evaluation with critical-path latency
-# ----------------------------------------------------------------------------
-
-def _execute_graph_placements(tables: GraphCostTables, P: np.ndarray) -> BatchExecutionResult:
-    """Evaluate every placement of a DAG workload in one vectorized pass.
-
-    Walks the tasks in topological (level) order with the placement axis
-    vectorized: per task, the incoming penalty hops fold left in canonical
-    edge order, the start time is the max over predecessor finish times and
-    the device's availability (same-device tasks serialize), and the total
-    time is the running max over finish times (the critical path).  Every
-    element undergoes exactly the IEEE-754 operations of the sequential
-    ``SimulatedExecutor.execute_graph`` loop, so results are bitwise equal --
-    and on a linear graph, bitwise equal to the chain engine.
-    """
-    n, k = P.shape
-    m = tables.n_devices
-    task_idx = np.arange(k)
-    preds = tables.pred_positions
-
-    busy_pt = tables.busy[task_idx, P]
-    hostio_time_pt = tables.hostio_time[task_idx, P]
-    hostio_bytes_pt = tables.hostio_bytes[task_idx, P]
-    energy_in_pt = tables.energy_in[task_idx, P]
-    energy_out_pt = tables.energy_out[task_idx, P]
-    pen_time_pt = np.zeros((n, k))
-    pen_energy_pt = np.zeros((n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            # Fan-in join: one penalty hop per incoming edge, folded left in
-            # canonical edge order (the join_penalty_cost accumulation).
-            for p in preds[t]:
-                pen_time_pt[:, t] += tables.penalty_time[P[:, p], dst]
-                pen_energy_pt[:, t] += tables.penalty_energy[P[:, p], dst]
-                pen_bytes_pt[:, t] += tables.penalty_bytes[P[:, p], dst]
-        else:
-            # Source task: fed from the host, like a chain's first task.
-            pen_time_pt[:, t] = tables.first_penalty_time[dst]
-            pen_energy_pt[:, t] = tables.first_penalty_energy[dst]
-            pen_bytes_pt[:, t] = tables.first_penalty_bytes[dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if tables.missing_links and np.isnan(transfer_pt).any():
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            tables.aliases,
-            tables.platform.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[i, t])),
-            lambda p: bool(np.isnan(tables.penalty_time[P[i, p], P[i, t]])),
-        )
-
-    total_time = np.zeros(n)
-    finish = np.zeros((n, k))
-    available = np.zeros((n, m))
-    rows = np.arange(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        ready = np.zeros(n)
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, p])
-        # Device serialization: wait for the device's previous task too (a
-        # no-op on linear graphs, where the device never lags the predecessor).
-        start = np.maximum(ready, available[rows, P[:, t]])
-        finish[:, t] = start + (busy_pt[:, t] + transfer_pt[:, t])
-        available[rows, P[:, t]] = finish[:, t]
-        total_time = np.maximum(total_time, finish[:, t])
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, t]
-        transfer_energy += energy_out_pt[:, t]
-        transfer_energy += pen_energy_pt[:, t]
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += busy_pt[:, t] * mask
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-
-    return _finalize_placements(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-
-
-def _raise_graph_missing_link(
-    aliases: Sequence[str],
-    host: str,
-    preds: Sequence[int],
-    P: np.ndarray,
-    i: int,
-    t: int,
-    hostio_nan: bool,
-    pen_nan,
-) -> None:
-    """Reject placement ``i`` whose task ``t`` traverses a missing link.
-
-    Shared by the batch and grid DAG engines (which differ only in how they
-    detect a NaN entry): ``hostio_nan`` flags a missing host link at
-    ``(i, t)``, ``pen_nan(p)`` whether the hop from predecessor position
-    ``p`` is missing.  Names the offending device pair like the chain engine.
-    """
-    current = aliases[P[i, t]]
-    a = host
-    if not hostio_nan:
-        for p in preds:
-            if pen_nan(p):
-                a = aliases[P[i, p]]
-                break
-    raise KeyError(
-        f"no link defined between {a!r} and {current!r} "
-        f"(required by placement {placement_labels(P[i : i + 1], aliases)[0]!r})"
-    )
+    return tables.execute(placements)
 
 
 def _graph_record(tables: GraphCostTables, row: np.ndarray) -> ExecutionRecord:

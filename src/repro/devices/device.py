@@ -33,12 +33,19 @@ launch/occupancy-bound regime for small ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..tasks.task import TaskCost
 from . import costmodel
 
 __all__ = ["DeviceSpec"]
+
+
+def _require_finite(field_name: str, value: float) -> None:
+    # NaN slips through every sign check (nan <= 0 is False).
+    if not math.isfinite(value):
+        raise ValueError(f"DeviceSpec.{field_name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ class DeviceSpec:
             "memory_bandwidth_gbs": self.memory_bandwidth_gbs,
         }
         for field_name, value in positive.items():
+            _require_finite(field_name, value)
             if value <= 0:
                 raise ValueError(f"{field_name} must be positive")
         non_negative = {
@@ -75,6 +83,7 @@ class DeviceSpec:
             "cost_per_hour": self.cost_per_hour,
         }
         for field_name, value in non_negative.items():
+            _require_finite(field_name, value)
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative")
 

@@ -1,10 +1,9 @@
 """Condition-stacked batch execution: all (scenario, placement) pairs at once.
 
 The robustness workload evaluates one placement space under *many* platform
-conditions (a scenario grid).  Looping :func:`~repro.devices.batch.execute_placements`
-over per-scenario platforms re-enters Python once per scenario -- table build,
-gathers and folds each time.  This module stacks the cost tables of every
-scenario platform along a leading condition axis:
+conditions (a scenario grid).  This module stacks the cost tables of every
+scenario platform along a leading condition axis and holds the execution
+kernels -- one per cost semantics:
 
 * :class:`GridCostTables` holds the per-(task, device) and per-(device,
   device) tables with shape ``(n_conditions, ...)``, built **vectorized
@@ -13,8 +12,17 @@ scenario platform along a leading condition axis:
   ``ChainCostTables.build`` on that platform;
 * :func:`execute_placements_grid` evaluates an ``(n_placements, n_tasks)``
   placement matrix against every condition in one NumPy pass, returning
-  metrics shaped ``(n_conditions, n_placements)`` that are bitwise identical
-  to looping ``execute_placements`` per derived platform.
+  metrics shaped ``(n_conditions, n_placements)``.  It has a chain kernel
+  (a compact ``(s, m, m)`` combine plus subset-sum device totals) and a graph
+  kernel (critical path, per-edge joins); the fault-aware pair lives in
+  :mod:`repro.faults.engine`.
+
+A plain batch is the one-scenario case: :func:`_one_scenario_grid` wraps
+:class:`~repro.devices.batch.ChainCostTables` as ``np.newaxis`` views, and
+``ChainCostTables.execute`` returns the ``batch(0)`` view of the grid result.
+So every slice along the condition axis is bitwise identical to evaluating
+the scenario's derived platform on its own.  Placements that cross a link the
+platform lacks are rejected with the offending device pair named.
 
 Construction has two paths that agree bitwise.  The **fused** path (used by
 :func:`repro.devices.tables.build_tables` when given a base platform plus a
@@ -23,9 +31,9 @@ per-scenario ``Platform`` objects: it broadcasts the base platform's
 parameters into :class:`~repro.devices.params.PlatformParams` arrays, applies
 each condition axis' ``scale_arrays`` hook once per (axis pattern, settings
 position) straight from the grid's value columns, and feeds the arrays to the
-same formula core.  The **materializing** path
-(:func:`build_grid_tables` over pre-derived platforms) stays as the
-differential reference and the fallback for custom axes without the hook.
+same formula core.  The **materializing** path (``build_tables`` over
+pre-derived platforms) stays as the differential reference and the fallback
+for custom axes without the hook.
 
 Fused builds carry a :class:`GridBuildContext`, which enables **delta
 rebuilds**: :meth:`GridCostTables.updated` / :meth:`~GridCostTables.updated_many`
@@ -60,7 +68,7 @@ from . import costmodel
 from .batch import (
     BatchExecutionResult,
     ChainCostTables,
-    _raise_graph_missing_link,
+    GraphCostTables,
     as_graph_tables,
     as_placement_matrix,
     placement_labels,
@@ -68,7 +76,7 @@ from .batch import (
 from .costmodel import PENALTY_MESSAGE_BYTES
 from .params import PlatformParams
 from .platform import Platform
-from .tables import build_tables, resolve_aliases
+from .tables import resolve_aliases
 
 if TYPE_CHECKING:
     from ..cache import TableCache
@@ -83,7 +91,6 @@ __all__ = [
     "GraphGridCostTables",
     "GridExecutionResult",
     "ScenarioPlatforms",
-    "build_grid_tables",
     "execute_placements_grid",
 ]
 
@@ -177,6 +184,12 @@ _SLICE_FIELDS = (
     "cost_per_hour",
     "extra_idle_power",
 )
+
+
+#: The ChainCostTables arrays that carry a condition axis in the grid form, and
+#: those shared by every scenario.
+_SCENARIO_TABLES = _SLICE_FIELDS[: _SLICE_FIELDS.index("power_active")]
+_STATIC_TABLES = ("hostio_bytes", "task_flops", "penalty_bytes", "first_penalty_bytes")
 
 
 @dataclass(frozen=True)
@@ -474,21 +487,37 @@ class GraphGridCostTables(GridCostTables):
         return as_graph_tables(super().table(index), self.pred_positions)
 
 
-def build_grid_tables(
-    chain: TaskChain | TaskGraph,
-    platforms: Sequence[Platform],
-    devices: Sequence[str] | None = None,
-) -> GridCostTables:
-    """Build the condition-stacked cost tables of a workload over scenario platforms.
+def _one_scenario_grid(tables: ChainCostTables) -> GridCostTables:
+    """Plain tables as a one-scenario grid: ``np.newaxis`` views, no copies.
 
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family; see :func:`_build_grid_tables`
-    for the vectorized builder it dispatches to.  Prefer passing
-    ``build_tables(..., scenarios=grid)`` a base platform plus a
-    :class:`~repro.scenarios.grid.ScenarioGrid`: that routes through the
-    fused array-space builder and enables delta rebuilds.
+    Every plain evaluation runs through this view, so the grid kernels are
+    the only kernels; ``table(0)`` of the view equals ``tables`` field for
+    field.
     """
-    return build_tables(chain, platforms, devices=devices)
+    platform = tables.platform
+    specs = [platform.device(alias) for alias in tables.aliases]
+    extra = [
+        spec.power_idle_w for alias, spec in platform.devices.items() if alias not in tables.aliases
+    ]
+    values = {
+        "task_names": tables.task_names,
+        "platforms": (platform,),
+        "aliases": tables.aliases,
+        "device_order": tuple(platform.devices),
+        "power_active": np.array([[spec.power_active_w for spec in specs]]),
+        "power_idle": np.array([[spec.power_idle_w for spec in specs]]),
+        "cost_per_hour": np.array([[spec.cost_per_hour for spec in specs]]),
+        "extra_idle_power": np.array(extra, dtype=float)[np.newaxis],
+        "missing_links": tables.missing_links,
+        "workload": tables.workload,
+    }
+    for name in _SCENARIO_TABLES:
+        values[name] = getattr(tables, name)[np.newaxis]
+    for name in _STATIC_TABLES:
+        values[name] = getattr(tables, name)
+    if isinstance(tables, GraphCostTables):
+        return GraphGridCostTables(**values, pred_positions=tables.pred_positions)
+    return GridCostTables(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +858,7 @@ def _build_grid_tables(
     platforms: Sequence[Platform],
     devices: Sequence[str] | None = None,
 ) -> GridCostTables:
-    """The materializing grid builder behind :func:`build_grid_tables`.
+    """The materializing grid builder (``build_tables`` over a platform sequence).
 
     Every platform must share the base platform's *shape*: the same device
     aliases (in the same order), the same host and the same link topology --
@@ -1038,9 +1067,10 @@ class GridExecutionResult:
     Scenario-dependent metrics have shape ``(n_conditions, n_placements)``
     (per-device columns ``(n_conditions, n_placements, n_devices)``); byte
     counts and FLOPs, which conditions cannot change, are stored once.
-    Every slice along the condition axis is bitwise identical to
-    :func:`~repro.devices.batch.execute_placements` on the scenario's derived
-    platform -- :meth:`batch` materialises that view on demand.
+    Every slice along the condition axis is bitwise identical to evaluating
+    the scenario's derived platform on its own -- :meth:`batch` materialises
+    that view on demand, and a plain batch is exactly ``batch(0)`` of a
+    one-scenario grid.
 
     The per-device energy breakdowns :attr:`active_j` / :attr:`idle_j` are
     computed lazily on first access: the scalar totals already fold them in,
@@ -1106,8 +1136,12 @@ class GridExecutionResult:
         """One scenario's :class:`BatchExecutionResult` (views, no copies);
         negative indices count from the end."""
         index = self.tables._scenario_index(index)
+        return self._view(index, self.tables.table(index))
+
+    def _view(self, index: int, tables: ChainCostTables) -> BatchExecutionResult:
+        """Scenario ``index`` as a batch result carrying ``tables``."""
         return BatchExecutionResult(
-            tables=self.tables.table(index),
+            tables=tables,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
             busy_by_device=self.busy_by_device[index],
@@ -1129,22 +1163,17 @@ class GridExecutionResult:
 def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> GridExecutionResult:
     """Evaluate every placement under every condition in one vectorized pass.
 
-    The grid analogue of :func:`~repro.devices.batch.execute_placements`: the
-    same gathers and left folds with a leading condition axis, so every
-    ``(scenario, placement)`` element undergoes the identical sequence of
-    IEEE-754 operations as the per-scenario loop -- bitwise equal results.
-    :class:`GraphGridCostTables` route through the DAG traversal (critical
-    path, per-edge joins) with the condition axis vectorized alongside.
+    The chain kernel (and, for :class:`GraphGridCostTables`, the entry to the
+    graph kernel): gathers and left folds in task order with a leading
+    condition axis, so every ``(scenario, placement)`` element undergoes the
+    identical sequence of IEEE-754 operations as the sequential executor on
+    the scenario's platform -- bitwise equal results.  Plain batches run
+    here too, as one-scenario grids (see :func:`_one_scenario_grid`).
     """
     P = as_placement_matrix(placements, tables.aliases, tables.n_tasks, workload=tables.workload)
     P = P.astype(np.intp, copy=False)
     if isinstance(tables, GraphGridCostTables):
         return _execute_graph_placements_grid(tables, P)
-    if tables.missing_links:
-        # Missing links mean gathered transfer times can be NaN; the checked
-        # engine materializes the full (s, n, k) gathers so the first NaN can
-        # be attributed to the exact (placement, task) that crosses the gap.
-        return _execute_chain_grid_checked(tables, P)
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
 
@@ -1153,8 +1182,9 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
     # per (scenario, task) -- one per (previous device, device) pair.  The
     # combine therefore runs on (s, m, m) tables and only the final gather and
     # accumulator add touch (s, n).  Per element this is the identical
-    # sequence of IEEE-754 operations as the checked engine below (the gather
-    # merely deduplicates them), so results stay bitwise equal.
+    # sequence of IEEE-754 operations as the per-task expansion of the
+    # sequential fold (the gather merely deduplicates them), so results stay
+    # bitwise equal.
     energy_in_flat = tables.energy_in.reshape(s, k * m)
     energy_out_flat = tables.energy_out.reshape(s, k * m)
     pen_energy_flat = tables.penalty_energy.reshape(s, m * m)
@@ -1165,20 +1195,21 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
     transfer_energy: np.ndarray | None = None
     transferred = np.zeros(n)
     flops_by_device = np.zeros((n, m))
+    rows = np.arange(n)
     # Device-major busy planes: busy_block[d] is a contiguous (s, n) slab, so
     # both the accumulation and the per-device finalization sums run on
     # contiguous memory; the (s, n, m) result view is a free transpose.
-    # A placement's busy time on device d is the task-order sum of the tasks
-    # it maps to d (the sequential fold adds busy * False == 0.0 for the
-    # rest, a bitwise no-op on these non-negative values), so when the 2**k
-    # possible subset sums per (scenario, device) undercut the expanded
-    # per-task gathers they are built once and gathered instead.
-    subset_fold = (1 << k) <= m * n
+    # A placement's busy time (and FLOPs) on device d is the task-order sum
+    # over the tasks it maps to d (the sequential fold adds busy * False ==
+    # 0.0 for the rest, a bitwise no-op on these non-negative values), so
+    # when the 2**k possible subset sums per (scenario, device) take no more
+    # room than the busy planes they are built once and gathered instead;
+    # otherwise each task scatters into its device's plane.
+    subset_fold = (1 << k) <= n
     if subset_fold:
         busy_block = np.empty((m, s, n))
     else:
         busy_block = np.zeros((m, s, n))
-        mask_scratch = np.empty((s, n))
         busy_flat = tables.busy.reshape(s, k * m)
 
     for t in range(k):
@@ -1191,7 +1222,7 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
             pen_energy_t = tables.first_penalty_energy[:, col]
             # The accumulators start at 0.0 and every contribution is
             # non-negative, so seeding them from the first task's (owned)
-            # gathers equals the explicit zeros + add of the checked engine.
+            # gathers equals the sequential fold's explicit zeros + add.
             total_time = combined[:, col]
             transfer_energy = energy_in_flat[:, cols_t]
         else:
@@ -1205,27 +1236,41 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
         transferred += hostio_bytes_flat.take(cols_t) + pen_bytes_t
         np.add(transfer_energy, energy_out_flat[:, cols_t], out=transfer_energy)
         np.add(transfer_energy, pen_energy_t, out=transfer_energy)
-        busy_t = None if subset_fold else busy_flat[:, cols_t]
-        for d in range(m):
-            mask = col == d
-            flops_by_device[:, d] += tables.task_flops[t] * mask
-            if busy_t is not None:
-                # Per-device accumulation via boolean masks, exactly the
-                # sequential engine's fold (x * True == x, x * False == 0.0).
-                np.multiply(busy_t, mask, out=mask_scratch)
-                busy_block[d] += mask_scratch
+        # Scatter-adds: a row touches exactly one device cell per task (the
+        # index pairs are unique, so plain fancy += is safe), and the
+        # accumulators never hold -0.0 (they start at +0.0 and every term is
+        # >= 0), so dropping the sequential fold's masked +0.0 additions for
+        # the other devices is bitwise neutral.
+        if not subset_fold:
+            flops_by_device[rows, col] += tables.task_flops[t]
+            busy_block[col, :, rows] += busy_flat[:, cols_t].T
 
     if total_time is None:  # zero-task workload: nothing to fold
         total_time = np.zeros((s, n))
         transfer_energy = np.zeros((s, n))
+    # A placement crossing a missing link picks up a NaN transfer time, and
+    # NaN survives every add of the fold.
+    if tables.missing_links:
+        _reject_missing_links(tables, P, np.isnan(total_time).any(axis=0))
     if subset_fold:
-        subset_weights = 1 << np.arange(k)
+        # subsets[i, d]: bitmask of the tasks row i places on device d (a sum
+        # of distinct powers of two, exact in float64 below 2**53).
+        cells = (rows * m)[:, None] + P
+        weights = np.broadcast_to(np.ldexp(1.0, np.arange(k)), (n, k))
+        subsets = np.bincount(cells.ravel(), weights.ravel(), minlength=n * m)
+        subsets = subsets.astype(np.intp).reshape(n, m)
+        # sums[:, d, c] / flop_sums[c]: the task-order left fold of device
+        # d's busy times / of the FLOPs over the tasks in bitmask c.
+        sums = np.empty((s, m, 1 << k))
+        flop_sums = np.empty(1 << k)
+        sums[:, :, 0] = flop_sums[0] = 0.0
+        for t in range(k):
+            low, high = slice(0, 1 << t), slice(1 << t, 2 << t)
+            np.add(sums[:, :, low], tables.busy[:, t, :, None], out=sums[:, :, high])
+            np.add(flop_sums[low], tables.task_flops[t], out=flop_sums[high])
         for d in range(m):
-            sums = np.zeros((s, 1))
-            for t in range(k):
-                sums = np.concatenate((sums, sums + tables.busy[:, t, d, None]), axis=1)
-            subset = ((P == d) * subset_weights).sum(axis=1)
-            np.take(sums, subset, axis=1, out=busy_block[d])
+            np.take(sums[:, d], subsets[:, d], axis=1, out=busy_block[d])
+        flops_by_device = flop_sums[subsets]
 
     return _finalize_grid(
         tables,
@@ -1239,88 +1284,36 @@ def execute_placements_grid(tables: GridCostTables, placements: np.ndarray) -> G
     )
 
 
-def _execute_chain_grid_checked(tables: GridCostTables, P: np.ndarray) -> GridExecutionResult:
-    """The materializing chain engine for platforms with missing links.
+def _reject_missing_links(tables: GridCostTables, P: np.ndarray, bad_rows: np.ndarray) -> None:
+    """Reject the first placement flagged in ``bad_rows`` (one bool per row).
 
-    Gathers the full ``(s, n, k)`` per-task cubes up front so a NaN transfer
-    time (a placement crossing an undefined link) can be located and reported
-    with the exact offending device pair.  Fold order matches the fast path,
-    so results are bitwise identical when no placement is rejected.
+    Only placements that actually traverse a missing link fail, like the
+    sequential executor.  The error walks the first flagged placement's tasks
+    in order and names the first link it needs but the platform lacks: a
+    task's host link first, then the hop from each predecessor in canonical
+    edge order (a chain task's only predecessor is the task before it).
+    Conditions never rewire a platform, so every scenario has the same gaps.
     """
-    n, k = P.shape
-    s, m = tables.n_scenarios, tables.n_devices
-
-    # Flat-index takes: one contiguous gather per table instead of broadcast
-    # advanced indexing -- same elements, so bitwise identical, with far less
-    # index arithmetic.
-    flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
-
-    def take_sk(table: np.ndarray) -> np.ndarray:
-        return table.reshape(s, k * m).take(flat_cols, axis=1).reshape(s, n, k)
-
-    busy_pt = take_sk(tables.busy)  # (s, n, k)
-    hostio_time_pt = take_sk(tables.hostio_time)
-    hostio_bytes_pt = tables.hostio_bytes.ravel().take(flat_cols).reshape(n, k)  # (n, k)
-    energy_in_pt = take_sk(tables.energy_in)
-    energy_out_pt = take_sk(tables.energy_out)
-    pen_time_pt = np.empty((s, n, k))
-    pen_energy_pt = np.empty((s, n, k))
-    pen_bytes_pt = np.empty((n, k))
-    first_col = P[:, 0]
-    pen_time_pt[:, :, 0] = tables.first_penalty_time.take(first_col, axis=1)
-    pen_energy_pt[:, :, 0] = tables.first_penalty_energy.take(first_col, axis=1)
-    pen_bytes_pt[:, 0] = tables.first_penalty_bytes.take(first_col)
-    if k > 1:
-        pair_flat = (P[:, :-1] * m + P[:, 1:]).ravel()
-        pen_time_pt[:, :, 1:] = (
-            tables.penalty_time.reshape(s, m * m).take(pair_flat, axis=1).reshape(s, n, k - 1)
-        )
-        pen_energy_pt[:, :, 1:] = (
-            tables.penalty_energy.reshape(s, m * m).take(pair_flat, axis=1).reshape(s, n, k - 1)
-        )
-        pen_bytes_pt[:, 1:] = tables.penalty_bytes.ravel().take(pair_flat).reshape(n, k - 1)
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if np.isnan(transfer_pt).any():
-        # Same rejection as execute_placements: only placements that actually
-        # traverse a missing link fail, with the offending pair named.
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = tables.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[:, i, t]).any():
-            a, b = tables.host, current
+    if not bad_rows.any():
+        return
+    i = int(np.argmax(bad_rows))
+    row = P[i]
+    preds = getattr(tables, "pred_positions", None)
+    for t, d in enumerate(row):
+        sources = preds[t] if preds is not None else (t - 1,) if t else ()
+        if np.isnan(tables.hostio_time[:, t, d]).any() or (
+            not sources and np.isnan(tables.first_penalty_time[:, d]).any()
+        ):
+            a = tables.host
         else:
-            a = tables.host if t == 0 else tables.aliases[P[i, t - 1]]
-            b = current
+            gaps = [p for p in sources if np.isnan(tables.penalty_time[:, row[p], d]).any()]
+            if not gaps:
+                continue
+            a = tables.aliases[row[gaps[0]]]
         raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
+            f"no link defined between {a!r} and {tables.aliases[d]!r} "
             f"(required by placement {placement_labels(P[i : i + 1], tables.aliases)[0]!r})"
         )
-
-    # Left folds in task order: bitwise identical to the per-scenario loop.
-    total_time = np.zeros((s, n))
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros((s, n))
-    busy_by_device = np.zeros((s, n, m))
-    flops_by_device = np.zeros((n, m))
-    rows = np.arange(n)
-    for t in range(k):
-        total_time += busy_pt[:, :, t] + transfer_pt[:, :, t]
-        transferred += hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]
-        transfer_energy += energy_in_pt[:, :, t]
-        transfer_energy += energy_out_pt[:, :, t]
-        transfer_energy += pen_energy_pt[:, :, t]
-        col = P[:, t]
-        # Scatter-add instead of one masked add per device: each placement row
-        # touches exactly one (row, device) cell per task (the index pairs are
-        # unique, so plain fancy += is safe), and the accumulator never holds
-        # -0.0 (it starts at +0.0 and busy times are >= 0), so dropping the
-        # masked +0.0 additions of the other devices is bitwise neutral.
-        busy_by_device[:, rows, col] += busy_pt[:, :, t]
-        flops_by_device[rows, col] += tables.task_flops[t]
-
-    return _finalize_grid(
-        tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
 
 
 def _finalize_grid(
@@ -1348,7 +1341,7 @@ def _finalize_grid(
         busy_cols = tuple(busy_by_device[:, :, j] for j in range(tables.n_devices))
 
     # Fold the per-device energy/cost terms in the shared device order,
-    # exactly like execute_placements walks platform.devices; candidate
+    # exactly like the sequential executor walks platform.devices; candidate
     # devices contribute active/idle/cost columns, the rest idle throughout.
     column = {alias: j for j, alias in enumerate(tables.aliases)}
     operating_cost = np.zeros((s, n))
@@ -1401,19 +1394,20 @@ def _finalize_grid(
 def _execute_graph_placements_grid(
     tables: GraphGridCostTables, P: np.ndarray
 ) -> GridExecutionResult:
-    """Evaluate a DAG placement matrix under every condition in one pass.
+    """The graph kernel: a DAG placement matrix under every condition in one pass.
 
-    The grid analogue of the batch DAG engine: the same edge-ordered penalty
-    folds, max-over-predecessors ready times and running-max critical path,
-    with a leading condition axis -- every ``(scenario, placement)`` element
-    is bitwise identical to ``execute_placements`` on the scenario's
-    :class:`~repro.devices.batch.GraphCostTables`.
+    Edge-ordered penalty folds, max-over-predecessors ready times and a
+    running-max critical path, with a leading condition axis -- every
+    ``(scenario, placement)`` element is bitwise identical to
+    ``SimulatedExecutor.execute_graph`` on the scenario's platform.
     """
     n, k = P.shape
     s, m = tables.n_scenarios, tables.n_devices
     preds = tables.pred_positions
 
-    # Flat-index takes, as in the chain engine (bitwise-identical gathers).
+    # Flat-index takes: one contiguous gather per table instead of broadcast
+    # advanced indexing -- same elements, so bitwise identical, with far less
+    # index arithmetic.
     flat_cols = ((np.arange(k) * m)[None, :] + P).ravel()
 
     def take_sk(table: np.ndarray) -> np.ndarray:
@@ -1444,21 +1438,6 @@ def _execute_graph_placements_grid(
             pen_bytes_pt[:, t] = tables.first_penalty_bytes.take(dst)
     transfer_pt = hostio_time_pt + pen_time_pt
 
-    if tables.missing_links and np.isnan(transfer_pt).any():
-        # Same rejection (and attribution) as the batch DAG engine, detecting
-        # NaNs across the scenario axis.
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            tables.aliases,
-            tables.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[:, i, t]).any()),
-            lambda p: bool(np.isnan(tables.penalty_time[:, P[i, p], P[i, t]]).any()),
-        )
-
     total_time = np.zeros((s, n))
     finish = np.zeros((s, n, k))
     available = np.zeros((s, n, m))
@@ -1485,6 +1464,10 @@ def _execute_graph_placements_grid(
         # engine for the bitwise argument.
         busy_by_device[:, rows, col] += busy_pt[:, :, t]
         flops_by_device[rows, col] += tables.task_flops[t]
+
+    # np.maximum propagates NaN, so a missing link reaches the critical path.
+    if tables.missing_links:
+        _reject_missing_links(tables, P, np.isnan(total_time).any(axis=0))
 
     return _finalize_grid(
         tables, P, total_time, transferred, transfer_energy, busy_by_device, flops_by_device

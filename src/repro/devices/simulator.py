@@ -595,18 +595,12 @@ class SimulatedExecutor:
         instead (see :func:`repro.faults.engine.execute_fault_placements`),
         pinned the same way to :func:`repro.faults.engine.expected_record`.
         """
-        from .batch import execute_placements
-
         tables = self.cost_tables(chain, devices, faults=faults, retry=retry, timeout=timeout)
         if placements is None:
             from ..offload.space import placement_matrix
 
             placements = placement_matrix(tables.n_tasks, len(tables.aliases))
-        if retry is not None:
-            from ..faults.engine import execute_fault_placements
-
-            return execute_fault_placements(tables, placements)
-        return execute_placements(tables, placements)
+        return tables.execute(placements)
 
     def iter_execute_batches(
         self,
@@ -630,18 +624,13 @@ class SimulatedExecutor:
         worker processes.  Works for chains and graphs alike, and with
         ``retry=`` given streams expected-cost-under-faults batches.
         """
-        from .batch import execute_placements
         from ..offload.space import iter_placement_batches
 
         tables = self.cost_tables(chain, devices, faults=faults, retry=retry, timeout=timeout)
-        if retry is not None:
-            from ..faults.engine import execute_fault_placements as run
-        else:
-            run = execute_placements
         for matrix in iter_placement_batches(
             tables.n_tasks, len(tables.aliases), batch_size, start=start, stop=stop
         ):
-            yield run(tables, matrix)
+            yield tables.execute(matrix)
 
     # -- fault-aware entry points ---------------------------------------
     def execute_with_faults(

@@ -1,10 +1,10 @@
-"""Unified cost-table backend: one entry point for all six table families.
+"""Unified cost-table backend: one entry point for every table family.
 
-The engine grew six near-parallel table families -- chain/graph tables
+Cost tables come in six families -- chain/graph tables
 (:mod:`repro.devices.batch`), their condition-stacked grid forms
 (:mod:`repro.devices.grid`) and the fault-augmented variants of both
-(:mod:`repro.faults.tables`) -- each with its own build function.
-:func:`build_tables` collapses the dispatch into one place:
+(:mod:`repro.faults.tables`).  :func:`build_tables` is the one place that
+builds them, and each family maps onto one of four execution kernels:
 
 ====================  ==========================  =============================
 configuration          fault-free                  under faults (``retry=...``)
@@ -13,16 +13,22 @@ one platform           ``ChainCostTables`` /       ``FaultChainCostTables``
                        ``GraphCostTables``
 platform sequence or   ``GridCostTables`` /        ``FaultGridCostTables``
 ``scenarios=...``      ``GraphGridCostTables``
+kernel                 chain grid / graph grid     fault chain grid /
+                                                   fault graph grid
 ====================  ==========================  =============================
+
+There is one kernel per cost semantics, and every kernel is a grid kernel:
+a one-platform family evaluates as a one-scenario grid (``np.newaxis``
+views of its tables) and returns that grid's ``batch(0)`` view, carrying the
+caller's tables and fingerprint.
 
 Every returned object satisfies the :class:`CostTables` protocol --
 ``execute(placements)``, ``.n_tasks``, ``.aliases`` and a content-addressed
 ``.fingerprint`` (the composite SHA-256 of the build configuration, see
 :mod:`repro.cache`) under which the executor's :class:`~repro.cache.TableCache`
-stores it.  The four historical dispatchers (``build_cost_tables``,
-``build_grid_tables``, ``build_fault_tables``, ``build_fault_grid_tables``)
-are thin shims over this function, so every table in the system is
-constructed through one code path.
+stores it.  The two fault builders (``build_fault_tables``,
+``build_fault_grid_tables``) are thin shims over this function, so every
+table in the system is constructed through one code path.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from ..faults import (
     FallbackPlan,
     RetryPolicy,
     build_fault_tables,
-    execute_fault_placements,
     plan_with_fallback,
 )
 from ..offload.space import placement_matrix
@@ -179,7 +178,7 @@ def run(config: FaultToleranceConfig | None = None) -> FaultToleranceResult:
     crossover: float | None = None
     for index, scenario in enumerate(scenarios):
         tables = build_fault_tables(chain, platforms[index], retry=retry)
-        batch = execute_fault_placements(tables, matrix)
+        batch = tables.execute(matrix)
         times = batch.total_time_s
         aware_row = int(np.argmin(times))
         if blind_row is None:

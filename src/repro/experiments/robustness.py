@@ -30,8 +30,8 @@ import numpy as np
 
 from ..core.analyzer import AnalysisResult
 from ..devices import SimulatedExecutor, edge_cluster_platform, lte, wifi_ac
-from ..devices.batch import ChainCostTables
 from ..devices.grid import GridExecutionResult, execute_placements_grid
+from ..devices.tables import build_tables
 from ..measurement.noise import default_system_noise
 from ..offload.space import placement_matrix
 from ..reporting import format_table
@@ -171,7 +171,7 @@ def run(config: RobustnessConfig | None = None) -> RobustnessResult:
     platforms = scenarios.platforms(base)
 
     # One condition-stacked pass over all (scenario, placement) pairs.
-    tables = ChainCostTables.build_grid(chain, platforms)
+    tables = build_tables(chain, platforms)
     matrix = placement_matrix(len(chain), tables.n_devices)
     grid = execute_placements_grid(tables, matrix)
     labels = grid.labels()

@@ -1,4 +1,4 @@
-"""Vectorized expected-cost-under-faults engine plus its sequential reference.
+"""Vectorized expected-cost-under-faults kernels plus their sequential reference.
 
 Per task and attempt, three things can go wrong: the device crashes or a
 transfer drops (per-attempt survival ``surv`` from the fault tables), the
@@ -24,11 +24,19 @@ wall-clock and idle energy but never the device's busy seconds or active
 energy.  Where success is impossible the time/energy/cost metrics are
 ``inf`` and the success probability is exactly ``0.0``.
 
+There is one kernel per workload shape -- the fault chain kernel
+(:func:`execute_fault_placements_grid`) and the fault graph kernel -- and
+both carry a leading scenario axis.  A plain fault batch
+(:meth:`FaultChainCostTables.execute
+<repro.faults.tables.FaultChainCostTables.execute>`,
+:func:`execute_fault_placements`) is the ``batch(0)`` view of a one-scenario
+fault grid, carrying the caller's tables.
+
 The scalar helpers below perform the identical IEEE-754 operation sequence
-(powers by repeated multiplication, the same guarded divisions), so
-:func:`execute_fault_placements` is pinned bitwise by
-:func:`expected_record` -- and with an empty profile, no timeout and any
-retry policy, both collapse to the classic fault-free engine bit for bit.
+(powers by repeated multiplication, the same guarded divisions), so the
+kernels are pinned bitwise by :func:`expected_record` -- and with an empty
+profile, no timeout and any retry policy, both collapse to the classic
+fault-free kernels bit for bit.
 
 For chains the expected total time is exact (expectation of a sum).  For
 DAGs the engine substitutes each task's *expected* duration into the
@@ -42,21 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..devices.batch import (
-    BatchExecutionResult,
-    GraphCostTables,
-    _finalize_placements,
-    _raise_graph_missing_link,
-    as_placement_matrix,
-    placement_labels,
-)
+from ..devices.batch import BatchExecutionResult, GraphCostTables, as_placement_matrix
 from ..devices.costmodel import finalize_execution
 from ..devices.energy import EnergyBreakdown
-from ..devices.grid import GridExecutionResult, _finalize_grid
+from ..devices.grid import GridExecutionResult, _finalize_grid, _reject_missing_links
 from .retry import RetryPolicy, expected_attempts, expected_backoff
 from .tables import FaultChainCostTables, FaultGridCostTables
 
@@ -259,8 +260,12 @@ class FaultGridExecutionResult(GridExecutionResult):
 
     def batch(self, index: int) -> FaultBatchExecutionResult:
         """One scenario's fault batch view (bitwise equal to a direct run)."""
+        return self._view(index, self.fault_tables.table(index))
+
+    def _view(self, index: int, fault_tables: FaultChainCostTables) -> FaultBatchExecutionResult:
+        """Scenario ``index`` as a fault batch result carrying ``fault_tables``."""
         return FaultBatchExecutionResult(
-            tables=self.tables.table(index),
+            tables=fault_tables.base,
             placements=self.placements,
             total_time_s=self.total_time_s[index],
             busy_by_device=self.busy_by_device[index],
@@ -271,7 +276,7 @@ class FaultGridExecutionResult(GridExecutionResult):
             idle_j=self.idle_j[index],
             energy_total_j=self.energy_total_j[index],
             operating_cost=self.operating_cost[index],
-            fault_tables=self.fault_tables.table(index),
+            fault_tables=fault_tables,
             success_probability=self.success_probability[index],
             expected_attempts=self.expected_attempts[index],
         )
@@ -286,222 +291,12 @@ def execute_fault_placements(
 ) -> FaultBatchExecutionResult:
     """Expected cost of every placement under the fault profile, in one pass.
 
-    The fault-aware analogue of
-    :func:`~repro.devices.batch.execute_placements`: identical gathers and
-    left folds, with each task's contribution replaced by its closed-form
-    retry expectation.  Graph tables route through the deterministic-
-    equivalent critical-path recurrence.
+    Delegates to :meth:`FaultChainCostTables.execute
+    <repro.faults.tables.FaultChainCostTables.execute>`: the ``batch(0)``
+    view of :func:`execute_fault_placements_grid` on the one-scenario grid
+    form of ``tables``.
     """
-    base = tables.base
-    P = as_placement_matrix(placements, base.aliases, base.n_tasks, workload=base.workload)
-    P = P.astype(np.intp, copy=False)
-    if tables.is_graph:
-        return _execute_graph_fault_placements(tables, P)
-    n, k = P.shape
-    m = base.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = base.busy[task_idx, P]
-    hostio_time_pt = base.hostio_time[task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[task_idx, P]
-    energy_out_pt = base.energy_out[task_idx, P]
-    node_surv_pt = tables.node_survival[task_idx, P]
-    pen_time_pt = np.empty((n, k))
-    pen_energy_pt = np.empty((n, k))
-    pen_bytes_pt = np.empty((n, k))
-    edge_surv_pt = np.empty((n, k))
-    pen_time_pt[:, 0] = base.first_penalty_time[P[:, 0]]
-    pen_energy_pt[:, 0] = base.first_penalty_energy[P[:, 0]]
-    pen_bytes_pt[:, 0] = base.first_penalty_bytes[P[:, 0]]
-    edge_surv_pt[:, 0] = tables.first_edge_survival[P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, 1:] = base.penalty_time[src, dst]
-        pen_energy_pt[:, 1:] = base.penalty_energy[src, dst]
-        pen_bytes_pt[:, 1:] = base.penalty_bytes[src, dst]
-        edge_surv_pt[:, 1:] = tables.edge_survival[src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        # Same rejection as the classic engine: a placement that traverses a
-        # device pair without a link cannot run, faults or no faults.
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = base.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[i, t]):
-            a, b = base.platform.host, current
-        else:
-            a = base.platform.host if t == 0 else base.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], base.aliases)[0]!r})"
-        )
-
-    q = tables.profile.straggler_probability
-    sigma = tables.profile.straggler_slowdown
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
-
-    success = np.ones(n)
-    attempts_total = np.zeros(n)
-    total_time = np.zeros(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        dur = busy_pt[:, t] + transfer_pt[:, t]
-        surv = node_surv_pt[:, t] * edge_surv_pt[:, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        total_time += task_time
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, t] * n_succ
-        transfer_energy += energy_out_pt[:, t] * n_succ
-        transfer_energy += pen_energy_pt[:, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += (busy_pt[:, t] * n_succ) * mask
-            flops_by_device[:, d] += (base.task_flops[t] * n_succ) * mask
-
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_placements(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-    return FaultBatchExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
-    )
-
-
-def _execute_graph_fault_placements(
-    tables: FaultChainCostTables, P: np.ndarray
-) -> FaultBatchExecutionResult:
-    """DAG expected-cost engine: expected durations in the critical-path fold."""
-    base = tables.base
-    n, k = P.shape
-    m = base.n_devices
-    task_idx = np.arange(k)
-    preds = base.pred_positions
-
-    busy_pt = base.busy[task_idx, P]
-    hostio_time_pt = base.hostio_time[task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[task_idx, P]
-    energy_out_pt = base.energy_out[task_idx, P]
-    node_surv_pt = tables.node_survival[task_idx, P]
-    pen_time_pt = np.zeros((n, k))
-    pen_energy_pt = np.zeros((n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    edge_surv_pt = np.ones((n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            # Fan-in join: every incoming penalty hop must survive; the
-            # survival factors fold left in the same canonical edge order as
-            # the penalty costs.
-            for p in preds[t]:
-                pen_time_pt[:, t] += base.penalty_time[P[:, p], dst]
-                pen_energy_pt[:, t] += base.penalty_energy[P[:, p], dst]
-                pen_bytes_pt[:, t] += base.penalty_bytes[P[:, p], dst]
-                edge_surv_pt[:, t] = edge_surv_pt[:, t] * tables.edge_survival[P[:, p], dst]
-        else:
-            pen_time_pt[:, t] = base.first_penalty_time[dst]
-            pen_energy_pt[:, t] = base.first_penalty_energy[dst]
-            pen_bytes_pt[:, t] = base.first_penalty_bytes[dst]
-            edge_surv_pt[:, t] = tables.first_edge_survival[dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            base.aliases,
-            base.platform.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[i, t])),
-            lambda p: bool(np.isnan(base.penalty_time[P[i, p], P[i, t]])),
-        )
-
-    q = tables.profile.straggler_probability
-    sigma = tables.profile.straggler_slowdown
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
-
-    success = np.ones(n)
-    attempts_total = np.zeros(n)
-    total_time = np.zeros(n)
-    finish = np.zeros((n, k))
-    available = np.zeros((n, m))
-    rows = np.arange(n)
-    transferred = np.zeros(n)
-    transfer_energy = np.zeros(n)
-    busy_by_device = np.zeros((n, m))
-    flops_by_device = np.zeros((n, m))
-    for t in range(k):
-        dur = busy_pt[:, t] + transfer_pt[:, t]
-        surv = node_surv_pt[:, t] * edge_surv_pt[:, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
-        success = success * succ
-        attempts_total += n_succ
-        ready = np.zeros(n)
-        for p in preds[t]:
-            ready = np.maximum(ready, finish[:, p])
-        start = np.maximum(ready, available[rows, P[:, t]])
-        finish[:, t] = start + task_time
-        available[rows, P[:, t]] = finish[:, t]
-        total_time = np.maximum(total_time, finish[:, t])
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, t] * n_succ
-        transfer_energy += energy_out_pt[:, t] * n_succ
-        transfer_energy += pen_energy_pt[:, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, d] += (busy_pt[:, t] * n_succ) * mask
-            flops_by_device[:, d] += (base.task_flops[t] * n_succ) * mask
-
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_placements(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-    return FaultBatchExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
-    )
+    return tables.execute(placements)
 
 
 def execute_fault_placements_grid(
@@ -509,11 +304,12 @@ def execute_fault_placements_grid(
 ) -> FaultGridExecutionResult:
     """Expected cost of every placement under every fault regime, in one pass.
 
-    The grid analogue of :func:`execute_fault_placements`: a leading scenario
-    axis on every fold, per-scenario straggler parameters broadcast as
-    columns, so each scenario slice is bitwise identical to the chain fault
-    engine on ``tables.table(i)``.  Graph grids route through the
-    deterministic-equivalent DAG recurrence.
+    The chain fault kernel: a leading scenario axis on every fold and
+    per-scenario straggler parameters broadcast as columns, each task's
+    contribution replaced by its closed-form retry expectation.  Each
+    scenario slice is bitwise identical to :func:`expected_record` on
+    ``tables.table(i)``.  Graph grids route through the deterministic-
+    equivalent DAG recurrence.
     """
     base = tables.base
     P = as_placement_matrix(placements, base.aliases, base.n_tasks, workload=base.workload)
@@ -522,48 +318,7 @@ def execute_fault_placements_grid(
         return _execute_graph_fault_placements_grid(tables, P)
     n, k = P.shape
     s, m = base.n_scenarios, base.n_devices
-    task_idx = np.arange(k)
-
-    busy_pt = base.busy[:, task_idx, P]  # (s, n, k)
-    hostio_time_pt = base.hostio_time[:, task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]  # (n, k)
-    energy_in_pt = base.energy_in[:, task_idx, P]
-    energy_out_pt = base.energy_out[:, task_idx, P]
-    node_surv_pt = tables.node_survival[:, task_idx, P]  # (s, n, k)
-    pen_time_pt = np.empty((s, n, k))
-    pen_energy_pt = np.empty((s, n, k))
-    pen_bytes_pt = np.empty((n, k))
-    edge_surv_pt = np.empty((s, n, k))
-    pen_time_pt[:, :, 0] = base.first_penalty_time[:, P[:, 0]]
-    pen_energy_pt[:, :, 0] = base.first_penalty_energy[:, P[:, 0]]
-    pen_bytes_pt[:, 0] = base.first_penalty_bytes[P[:, 0]]
-    edge_surv_pt[:, :, 0] = tables.first_edge_survival[:, P[:, 0]]
-    if k > 1:
-        src, dst = P[:, :-1], P[:, 1:]
-        pen_time_pt[:, :, 1:] = base.penalty_time[:, src, dst]
-        pen_energy_pt[:, :, 1:] = base.penalty_energy[:, src, dst]
-        pen_bytes_pt[:, 1:] = base.penalty_bytes[src, dst]
-        edge_surv_pt[:, :, 1:] = tables.edge_survival[:, src, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        current = base.aliases[P[i, t]]
-        if np.isnan(hostio_time_pt[:, i, t]).any():
-            a, b = base.host, current
-        else:
-            a = base.host if t == 0 else base.aliases[P[i, t - 1]]
-            b = current
-        raise KeyError(
-            f"no link defined between {a!r} and {b!r} "
-            f"(required by placement {placement_labels(P[i : i + 1], base.aliases)[0]!r})"
-        )
-
-    q = np.array([profile.straggler_probability for profile in tables.profiles]).reshape(s, 1)
-    sigma = np.array([profile.straggler_slowdown for profile in tables.profiles]).reshape(s, 1)
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
+    q, sigma, c, cfin = _straggler_columns(tables)
 
     success = np.ones((s, n))
     attempts_total = np.zeros((s, n))
@@ -572,101 +327,39 @@ def execute_fault_placements_grid(
     transfer_energy = np.zeros((s, n))
     busy_by_device = np.zeros((s, n, m))
     flops_by_device = np.zeros((s, n, m))
-    for t in range(k):
-        dur = busy_pt[:, :, t] + transfer_pt[:, :, t]
-        surv = node_surv_pt[:, :, t] * edge_surv_pt[:, :, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
+    rows = np.arange(n)
+    chain_preds = tuple((t - 1,) if t else () for t in range(k))
+    for t, terms in enumerate(_fault_task_terms(tables, P, chain_preds)):
+        busy_t, transfer_t, surv, bytes_t, energy_in_t, energy_out_t, pen_energy_t = terms
+        succ, n_succ, task_time = _attempt_statistics(
+            busy_t + transfer_t, surv, q, sigma, c, cfin, tables.retry
+        )
         success = success * succ
         attempts_total += n_succ
         total_time += task_time
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, :, t] * n_succ
-        transfer_energy += energy_out_pt[:, :, t] * n_succ
-        transfer_energy += pen_energy_pt[:, :, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, :, d] += (busy_pt[:, :, t] * n_succ) * mask
-            flops_by_device[:, :, d] += (base.task_flops[t] * n_succ) * mask
+        transferred += bytes_t * n_succ
+        transfer_energy += energy_in_t * n_succ
+        transfer_energy += energy_out_t * n_succ
+        transfer_energy += pen_energy_t * n_succ
+        _scatter_device_totals(
+            busy_by_device, flops_by_device, rows, P[:, t], busy_t, base.task_flops[t], n_succ
+        )
 
-    impossible = ~np.isfinite(total_time)
-    safe_total = np.where(impossible, 0.0, total_time)
-    result = _finalize_grid(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
-    )
-    return FaultGridExecutionResult(
-        tables=base,
-        placements=P,
-        total_time_s=np.where(impossible, np.inf, safe_total),
-        busy_by_device=busy_by_device,
-        flops_by_device=flops_by_device,
-        transferred_bytes=transferred,
-        transfer_energy_j=transfer_energy,
-        active_j=result.active_j,
-        idle_j=result.idle_j,
-        energy_total_j=np.where(impossible, np.inf, result.energy_total_j),
-        operating_cost=np.where(impossible, np.inf, result.operating_cost),
-        fault_tables=tables,
-        success_probability=success,
-        expected_attempts=attempts_total,
+    return _finalize_fault_grid(
+        tables, P, success, attempts_total, total_time, transferred, transfer_energy,
+        busy_by_device, flops_by_device,
     )
 
 
 def _execute_graph_fault_placements_grid(
     tables: FaultGridCostTables, P: np.ndarray
 ) -> FaultGridExecutionResult:
-    """Grid DAG expected-cost engine (scenario axis over the critical path)."""
+    """The graph fault kernel: expected durations in the critical-path fold."""
     base = tables.base
     n, k = P.shape
     s, m = base.n_scenarios, base.n_devices
-    task_idx = np.arange(k)
     preds = base.pred_positions
-
-    busy_pt = base.busy[:, task_idx, P]
-    hostio_time_pt = base.hostio_time[:, task_idx, P]
-    hostio_bytes_pt = base.hostio_bytes[task_idx, P]
-    energy_in_pt = base.energy_in[:, task_idx, P]
-    energy_out_pt = base.energy_out[:, task_idx, P]
-    node_surv_pt = tables.node_survival[:, task_idx, P]
-    pen_time_pt = np.zeros((s, n, k))
-    pen_energy_pt = np.zeros((s, n, k))
-    pen_bytes_pt = np.zeros((n, k))
-    edge_surv_pt = np.ones((s, n, k))
-    for t in range(k):
-        dst = P[:, t]
-        if preds[t]:
-            for p in preds[t]:
-                pen_time_pt[:, :, t] += base.penalty_time[:, P[:, p], dst]
-                pen_energy_pt[:, :, t] += base.penalty_energy[:, P[:, p], dst]
-                pen_bytes_pt[:, t] += base.penalty_bytes[P[:, p], dst]
-                edge_surv_pt[:, :, t] = (
-                    edge_surv_pt[:, :, t] * tables.edge_survival[:, P[:, p], dst]
-                )
-        else:
-            pen_time_pt[:, :, t] = base.first_penalty_time[:, dst]
-            pen_energy_pt[:, :, t] = base.first_penalty_energy[:, dst]
-            pen_bytes_pt[:, t] = base.first_penalty_bytes[dst]
-            edge_surv_pt[:, :, t] = tables.first_edge_survival[:, dst]
-    transfer_pt = hostio_time_pt + pen_time_pt
-
-    if base.missing_links and np.isnan(transfer_pt).any():
-        _, i, t = (int(v) for v in np.argwhere(np.isnan(transfer_pt))[0])
-        _raise_graph_missing_link(
-            base.aliases,
-            base.host,
-            preds[t],
-            P,
-            i,
-            t,
-            bool(np.isnan(hostio_time_pt[:, i, t]).any()),
-            lambda p: bool(np.isnan(base.penalty_time[:, P[i, p], P[i, t]]).any()),
-        )
-
-    q = np.array([profile.straggler_probability for profile in tables.profiles]).reshape(s, 1)
-    sigma = np.array([profile.straggler_slowdown for profile in tables.profiles]).reshape(s, 1)
-    c = tables.timeout.timeout_s
-    cfin = c if math.isfinite(c) else 0.0
-    retry = tables.retry
+    q, sigma, c, cfin = _straggler_columns(tables)
 
     success = np.ones((s, n))
     attempts_total = np.zeros((s, n))
@@ -678,10 +371,11 @@ def _execute_graph_fault_placements_grid(
     transfer_energy = np.zeros((s, n))
     busy_by_device = np.zeros((s, n, m))
     flops_by_device = np.zeros((s, n, m))
-    for t in range(k):
-        dur = busy_pt[:, :, t] + transfer_pt[:, :, t]
-        surv = node_surv_pt[:, :, t] * edge_surv_pt[:, :, t]
-        succ, n_succ, task_time = _attempt_statistics(dur, surv, q, sigma, c, cfin, retry)
+    for t, terms in enumerate(_fault_task_terms(tables, P, preds)):
+        busy_t, transfer_t, surv, bytes_t, energy_in_t, energy_out_t, pen_energy_t = terms
+        succ, n_succ, task_time = _attempt_statistics(
+            busy_t + transfer_t, surv, q, sigma, c, cfin, tables.retry
+        )
         success = success * succ
         attempts_total += n_succ
         ready = np.zeros((s, n))
@@ -691,23 +385,135 @@ def _execute_graph_fault_placements_grid(
         finish[:, :, t] = start + task_time
         available[:, rows, P[:, t]] = finish[:, :, t]
         total_time = np.maximum(total_time, finish[:, :, t])
-        transferred += (hostio_bytes_pt[:, t] + pen_bytes_pt[:, t]) * n_succ
-        transfer_energy += energy_in_pt[:, :, t] * n_succ
-        transfer_energy += energy_out_pt[:, :, t] * n_succ
-        transfer_energy += pen_energy_pt[:, :, t] * n_succ
-        col = P[:, t]
-        for d in range(m):
-            mask = col == d
-            busy_by_device[:, :, d] += (busy_pt[:, :, t] * n_succ) * mask
-            flops_by_device[:, :, d] += (base.task_flops[t] * n_succ) * mask
+        transferred += bytes_t * n_succ
+        transfer_energy += energy_in_t * n_succ
+        transfer_energy += energy_out_t * n_succ
+        transfer_energy += pen_energy_t * n_succ
+        _scatter_device_totals(
+            busy_by_device, flops_by_device, rows, P[:, t], busy_t, base.task_flops[t], n_succ
+        )
 
+    return _finalize_fault_grid(
+        tables, P, success, attempts_total, total_time, transferred, transfer_energy,
+        busy_by_device, flops_by_device,
+    )
+
+
+def _fault_task_terms(
+    tables: FaultGridCostTables, P: np.ndarray, preds: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield, task by task, the gathered ``(s, n)`` terms both fault kernels fold.
+
+    Per task ``t``: busy time, transfer time, per-attempt survival, bytes,
+    host-I/O energies and penalty energy.  A source task is fed from the host;
+    any other pays one penalty hop per predecessor in ``preds[t]`` (a chain
+    task's only predecessor is the task before it), folded left in canonical
+    edge order, and every hop must survive.  The folds start from the first
+    hop instead of ``0.0``/``1.0``; ``0.0 + x`` and ``1.0 * x`` equal ``x`` for
+    these non-negative terms, so this is bitwise the explicit fold.
+
+    Gathers are flat-index takes on each scenario's flattened table: the same
+    elements as advanced indexing, so bitwise identical, with less index
+    arithmetic; one task at a time keeps the working set at ``(s, n)``.
+    After the last task, placements crossing a missing link are rejected.
+    That is checked on the transfer times, not the folded total: a task that
+    can never succeed contributes ``inf``, which would hide the NaN.
+    """
+    base = tables.base
+    s, m = base.n_scenarios, base.n_devices
+
+    def flat(table: np.ndarray) -> np.ndarray:
+        return table.reshape(s, -1)
+
+    busy, hostio_time = flat(base.busy), flat(base.hostio_time)
+    energy_in, energy_out = flat(base.energy_in), flat(base.energy_out)
+    node, edge = flat(tables.node_survival), flat(tables.edge_survival)
+    pen_time, pen_energy = flat(base.penalty_time), flat(base.penalty_energy)
+    hostio_bytes, pen_bytes = base.hostio_bytes.ravel(), base.penalty_bytes.ravel()
+    crossing = np.zeros(P.shape[0], dtype=bool) if base.missing_links else None
+    for t, sources in enumerate(preds):
+        col = P[:, t]
+        if sources:
+            hops = [P[:, p] * m + col for p in sources]
+            hop_time = pen_time.take(hops[0], axis=1)
+            hop_energy = pen_energy.take(hops[0], axis=1)
+            hop_bytes = pen_bytes.take(hops[0])
+            hop_surv = edge.take(hops[0], axis=1)
+            for hop in hops[1:]:
+                hop_time += pen_time.take(hop, axis=1)
+                hop_energy += pen_energy.take(hop, axis=1)
+                hop_bytes += pen_bytes.take(hop)
+                hop_surv = hop_surv * edge.take(hop, axis=1)
+        else:
+            hop_time = base.first_penalty_time.take(col, axis=1)
+            hop_energy = base.first_penalty_energy.take(col, axis=1)
+            hop_bytes = base.first_penalty_bytes.take(col)
+            hop_surv = tables.first_edge_survival.take(col, axis=1)
+        cols = t * m + col
+        transfer = hostio_time.take(cols, axis=1) + hop_time
+        if crossing is not None:
+            crossing |= np.isnan(transfer).any(axis=0)
+        yield (
+            busy.take(cols, axis=1),
+            transfer,
+            node.take(cols, axis=1) * hop_surv,
+            hostio_bytes.take(cols) + hop_bytes,
+            energy_in.take(cols, axis=1),
+            energy_out.take(cols, axis=1),
+            hop_energy,
+        )
+    if crossing is not None:
+        _reject_missing_links(base, P, crossing)
+
+
+def _straggler_columns(tables: FaultGridCostTables):
+    """Per-scenario straggler ``(q, sigma)`` columns plus the timeout ``(c, cfin)``."""
+    s = tables.n_scenarios
+    q = np.array([profile.straggler_probability for profile in tables.profiles]).reshape(s, 1)
+    sigma = np.array([profile.straggler_slowdown for profile in tables.profiles]).reshape(s, 1)
+    c = tables.timeout.timeout_s
+    return q, sigma, c, (c if math.isfinite(c) else 0.0)
+
+
+def _scatter_device_totals(
+    busy_by_device, flops_by_device, rows, col, busy_t, flops_t, n_succ
+) -> None:
+    """Add one task's re-paid busy time and FLOPs to its device's column.
+
+    Scatter-add instead of one masked add per device: each placement row
+    touches exactly one (row, device) cell per task (the index pairs are
+    unique, so plain fancy ``+=`` is safe), and the accumulators never hold
+    -0.0 (they start at +0.0 and the terms are >= 0 and finite, since
+    ``n_succ`` is guarded to 1.0 where success is impossible), so dropping
+    the masked +0.0 additions of the other devices is bitwise neutral.
+    """
+    busy_by_device[:, rows, col] += busy_t * n_succ
+    flops_by_device[:, rows, col] += flops_t * n_succ
+
+
+def _finalize_fault_grid(
+    tables: FaultGridCostTables,
+    P: np.ndarray,
+    success: np.ndarray,
+    attempts_total: np.ndarray,
+    total_time: np.ndarray,
+    transferred: np.ndarray,
+    transfer_energy: np.ndarray,
+    busy_by_device: np.ndarray,
+    flops_by_device: np.ndarray,
+) -> FaultGridExecutionResult:
+    """Energy/cost finalization of both fault kernels.
+
+    Rows where success is impossible are finalized with a 0.0 wall-clock (so
+    idle energy stays finite) and then reported as ``inf``.
+    """
     impossible = ~np.isfinite(total_time)
     safe_total = np.where(impossible, 0.0, total_time)
     result = _finalize_grid(
-        base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
+        tables.base, P, safe_total, transferred, transfer_energy, busy_by_device, flops_by_device
     )
     return FaultGridExecutionResult(
-        tables=base,
+        tables=tables.base,
         placements=P,
         total_time_s=np.where(impossible, np.inf, safe_total),
         busy_by_device=busy_by_device,

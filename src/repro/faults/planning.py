@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .engine import execute_fault_placements
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
 from .tables import build_fault_tables
@@ -139,7 +138,7 @@ def _fault_stream_plan(
     tables = build_fault_tables(
         workload, executor.platform, aliases, retry=retry, faults=faults, timeout=timeout
     )
-    batch = execute_fault_placements(tables, placement_matrix(n_tasks, len(aliases)))
+    batch = tables.execute(placement_matrix(n_tasks, len(aliases)))
     values = batch.metric_values(objective)
     feasible = batch.success_probability >= min_success if min_success > 0.0 else np.isfinite(values)
     feasible = feasible & np.isfinite(values)

@@ -21,18 +21,21 @@ the scalar cost model.
 :class:`FaultGridCostTables` stacks per-scenario survival tables over a
 :class:`~repro.devices.grid.GridCostTables`, one fault profile per scenario
 platform (drawn from ``platform.faults`` unless an explicit profile is
-given), for failure-regime sweeps.
+given), for failure-regime sweeps.  It is the only form the kernels
+evaluate: ``FaultChainCostTables.execute`` wraps itself as a one-scenario
+:class:`FaultGridCostTables` (``np.newaxis`` views, built once per object).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..devices.batch import ChainCostTables, GraphCostTables, build_cost_tables
-from ..devices.grid import GraphGridCostTables, GridCostTables, build_grid_tables
+from ..devices.batch import ChainCostTables, GraphCostTables
+from ..devices.grid import GraphGridCostTables, GridCostTables
 from ..devices.tables import build_tables
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
@@ -107,10 +110,27 @@ class FaultChainCostTables:
     fingerprint: str = ""
 
     def execute(self, placements: np.ndarray):
-        """Evaluate a placement batch under faults (protocol entry)."""
-        from .engine import execute_fault_placements
+        """Evaluate a placement batch under faults (protocol entry).
 
-        return execute_fault_placements(self, placements)
+        Runs the fault grid kernel on the one-scenario view of these tables
+        and returns its ``batch(0)`` view, carrying these tables.
+        """
+        from .engine import execute_fault_placements_grid
+
+        return execute_fault_placements_grid(self._grid, placements)._view(0, self)
+
+    @cached_property
+    def _grid(self) -> "FaultGridCostTables":
+        """These tables as a one-scenario fault grid (views, built once per object)."""
+        return FaultGridCostTables(
+            base=self.base._grid,
+            profiles=(self.profile,),
+            retry=self.retry,
+            timeout=self.timeout,
+            node_survival=self.node_survival[np.newaxis],
+            edge_survival=self.edge_survival[np.newaxis],
+            first_edge_survival=self.first_edge_survival[np.newaxis],
+        )
 
     @property
     def is_graph(self) -> bool:
@@ -184,7 +204,7 @@ def _build_fault_tables(
     """The fault-table builder behind :func:`build_fault_tables`."""
     timeout = _check_policies(retry, timeout)
     profile = resolve_fault_profile(platform, faults)
-    base = build_cost_tables(workload, platform, devices)
+    base = build_tables(workload, platform, devices=devices)
     node, edge, first_edge = _survival_tables(base, profile, workload.costs(), base.busy)
     return FaultChainCostTables(
         base=base,
@@ -317,7 +337,7 @@ def _build_fault_grid_tables(
             workload, platform, devices=devices, scenarios=scenarios, slice_cache=slice_cache
         )
     else:
-        base = build_grid_tables(workload, platforms, devices)
+        base = build_tables(workload, platforms, devices=devices)
     profiles = tuple(resolve_fault_profile(platform, faults) for platform in base.platforms)
     costs = workload.costs()
     s = base.n_scenarios

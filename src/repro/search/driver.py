@@ -333,20 +333,13 @@ def _run_shard(
     fault-aware sweep; the worker rebuilds the fault tables locally (cheap
     relative to a shard) and streams expected-cost batches instead.
     """
-    from ..devices.batch import build_cost_tables, execute_placements
+    from ..devices.tables import build_tables
     from ..offload.space import iter_placement_batches
 
-    if fault_spec is not None:
-        from ..faults.engine import execute_fault_placements as run
-        from ..faults.tables import build_fault_tables
-
-        faults, retry, timeout = fault_spec
-        tables = build_fault_tables(
-            chain, platform, devices, retry=retry, faults=faults, timeout=timeout
-        )
-    else:
-        run = execute_placements
-        tables = build_cost_tables(chain, platform, devices)
+    faults, retry, timeout = fault_spec if fault_spec is not None else (None, None, None)
+    tables = build_tables(
+        chain, platform, devices=devices, faults=faults, retry=retry, timeout=timeout
+    )
     search = SpaceSearch(
         objectives=objectives, top_k=top_k, frontier=frontier, constraints=constraints
     )
@@ -354,7 +347,7 @@ def _run_shard(
     for matrix in iter_placement_batches(
         tables.n_tasks, tables.n_devices, batch_size, start=shard_start, stop=shard_stop
     ):
-        batch = run(tables, matrix)
+        batch = tables.execute(matrix)
         search.update(batch, start_index=cursor)
         cursor += len(batch)
     return search

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.devices import (
     LinkSpec,
     Platform,
     cpu_gpu_platform,
+    edge_cluster_platform,
     get_platform,
     nvidia_p100,
     nvidia_p100_native,
@@ -91,6 +95,43 @@ class TestLinkSpec:
             LinkSpec(name="x", bandwidth_gbs=0)
         with pytest.raises(ValueError):
             LinkSpec(name="x", bandwidth_gbs=1, latency_s=-1)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def float_fields(cls) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls) if field.type == "float"]
+
+
+class TestNonFiniteParameters:
+    """Every float field of a device or link is finite or rejected by name."""
+
+    def test_every_float_field_is_covered(self):
+        assert len(float_fields(DeviceSpec)) == 8
+        assert float_fields(LinkSpec) == ["bandwidth_gbs", "latency_s", "energy_per_byte_j"]
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", float_fields(DeviceSpec))
+    def test_device_spec_rejects(self, field, value):
+        with pytest.raises(ValueError, match=rf"^DeviceSpec\.{field} must be finite"):
+            DeviceSpec(name="x", **{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", float_fields(LinkSpec))
+    def test_link_spec_rejects(self, field, value):
+        kwargs = {"bandwidth_gbs": 1.0, field: value}
+        with pytest.raises(ValueError, match=rf"^LinkSpec\.{field} must be finite"):
+            LinkSpec(name="x", **kwargs)
+
+    def test_nan_latency_on_a_defined_link(self):
+        # A NaN latency on the defined A-D link used to surface later as a
+        # bogus "no link defined between 'D' and 'A'" error, or as silent
+        # NaN total times in a batch built from such platforms.
+        platform = edge_cluster_platform()
+        link = platform.link("D", "A")
+        with pytest.raises(ValueError, match=r"^LinkSpec\.latency_s must be finite, got nan"):
+            dataclasses.replace(link, latency_s=math.nan)
 
 
 class TestPlatform:

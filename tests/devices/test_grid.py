@@ -1,6 +1,6 @@
 """Equivalence tests for the condition-stacked grid execution engine.
 
-The central claim: ``ChainCostTables.build_grid`` + ``execute_placements_grid``
+The central claim: ``build_tables`` over scenario platforms + ``execute_placements_grid``
 are **bitwise identical** to deriving each scenario's platform, building its
 scalar tables and looping ``execute_placements`` -- for every table entry and
 every metric, on calibrated and randomized platforms alike.
@@ -18,6 +18,7 @@ from repro.devices import (
     DeviceSpec,
     LinkSpec,
     Platform,
+    build_tables,
     execute_placements,
     execute_placements_grid,
     edge_cluster_platform,
@@ -37,7 +38,14 @@ from repro.scenarios import (
 )
 from repro.tasks import GemmLoopTask, RegularizedLeastSquaresTask, TaskChain
 
-from factories import random_chain, random_platform
+from factories import (
+    MISSING_LINK_CASES,
+    MISSING_LINK_SAFE,
+    diamond_workloads,
+    partially_linked_platform,
+    random_chain,
+    random_platform,
+)
 
 SCENARIO_AXES = [
     (LinkBandwidthScale(), [1.0, 0.5, 0.2]),
@@ -104,7 +112,7 @@ class TestBuildGrid:
         scenarios = ScenarioGrid.cartesian(SCENARIO_AXES)
         platforms = scenarios.platforms(base)
         chain = chain_of(4)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(len(chain), len(base.aliases))
         grid = execute_placements_grid(grid_tables, matrix)
         assert grid.total_time_s.shape == (len(platforms), matrix.shape[0])
@@ -122,7 +130,7 @@ class TestBuildGrid:
             )
             platforms = scenarios.platforms(base)
             chain = random_chain(rng, 3)
-            grid_tables = ChainCostTables.build_grid(chain, platforms)
+            grid_tables = build_tables(chain, platforms)
             matrix = placement_matrix(3, n_devices)
             grid = execute_placements_grid(grid_tables, matrix)
             assert_grid_matches_loop(grid_tables, grid, chain, platforms, matrix)
@@ -141,7 +149,7 @@ class TestBuildGrid:
         scenarios = ScenarioGrid.cartesian([(LinkLatencyScale(), axis_values)])
         platforms = scenarios.platforms(base)
         chain = random_chain(rng, n_tasks)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(n_tasks, n_devices)
         grid = execute_placements_grid(grid_tables, matrix)
         assert_grid_matches_loop(grid_tables, grid, chain, platforms, matrix)
@@ -151,7 +159,7 @@ class TestBuildGrid:
         scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=3)
         platforms = scenarios.platforms(base)
         chain = chain_of(3)
-        grid_tables = ChainCostTables.build_grid(chain, platforms, devices=("D", "A"))
+        grid_tables = build_tables(chain, platforms, devices=("D", "A"))
         matrix = placement_matrix(3, 2)
         grid = execute_placements_grid(grid_tables, matrix)
         for index, platform in enumerate(platforms):
@@ -166,12 +174,12 @@ class TestBuildGrid:
         other = smartphone_cloud_platform()
         chain = chain_of(2)
         with pytest.raises(ValueError, match="device set"):
-            ChainCostTables.build_grid(chain, [base, other])
+            build_tables(chain, [base, other])
         rehosted = Platform(devices=base.devices, links=base.links, host="E", name="rehosted")
         with pytest.raises(ValueError, match="host"):
-            ChainCostTables.build_grid(chain, [base, rehosted])
+            build_tables(chain, [base, rehosted])
         with pytest.raises(ValueError, match="at least one platform"):
-            ChainCostTables.build_grid(chain, [])
+            build_tables(chain, [])
 
     def test_missing_links_reject_only_traversing_placements(self):
         """Partially linked platforms behave exactly like the scalar engine."""
@@ -190,7 +198,7 @@ class TestBuildGrid:
         chain = TaskChain(
             [GemmLoopTask(16, name="L1"), GemmLoopTask(16, name="L2")], name="partial"
         )
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         assert grid_tables.missing_links
         # Placements avoiding the missing A<->B hop evaluate fine...
         safe = np.array([[0, 0], [0, 1], [1, 0], [2, 0]])
@@ -211,7 +219,7 @@ class TestGridResult:
         )
         platforms = scenarios.platforms(base)
         chain = chain_of(3)
-        grid_tables = ChainCostTables.build_grid(chain, platforms)
+        grid_tables = build_tables(chain, platforms)
         matrix = placement_matrix(3, 4)
         grid = execute_placements_grid(grid_tables, matrix)
         assert len(grid) == matrix.shape[0]
@@ -236,9 +244,42 @@ class TestGridResult:
         base = edge_cluster_platform()
         scenarios = link_degradation_grid([("D", "A")], start=wifi_ac(), end=lte(), n_points=4)
         chain = chain_of(2)
-        grid_tables = ChainCostTables.build_grid(chain, scenarios.platforms(base))
+        grid_tables = build_tables(chain, scenarios.platforms(base))
         grid = execute_placements_grid(grid_tables, placement_matrix(2, 4))
         for metric in ("time", "energy", "cost"):
             assert grid.metric_values(metric).shape == (4, 16)
         with pytest.raises(ValueError, match="unknown metric"):
             grid.metric_values("latency")
+
+
+class TestMissingLinkAttribution:
+    """Plain and grid evaluation name the same offending link and placement."""
+
+    GRID = ScenarioGrid.cartesian([(LinkBandwidthScale(), [1.0, 0.5, 0.25])])
+
+    @staticmethod
+    def workload(kind: str):
+        chain, graph = diamond_workloads()
+        return chain if kind == "chain" else graph
+
+    @pytest.mark.parametrize("missing, kind, placements, message", MISSING_LINK_CASES)
+    @pytest.mark.parametrize("scenarios", [None, GRID], ids=["plain", "grid"])
+    def test_exact_error_text(self, missing, kind, placements, message, scenarios):
+        platform = partially_linked_platform(missing)
+        tables = build_tables(self.workload(kind), platform, scenarios=scenarios)
+        assert tables.missing_links
+        with pytest.raises(KeyError) as excinfo:
+            tables.execute(placements)
+        assert excinfo.value.args[0] == message
+
+    @pytest.mark.parametrize("kind", ["chain", "graph"])
+    @pytest.mark.parametrize("scenarios", [None, GRID], ids=["plain", "grid"])
+    def test_result_carries_the_callers_tables(self, kind, scenarios):
+        tables = build_tables(
+            self.workload(kind), partially_linked_platform(("A", "B")), scenarios=scenarios
+        )
+        key = tables.fingerprint
+        result = tables.execute(MISSING_LINK_SAFE)
+        assert result.tables is tables
+        assert tables.fingerprint == key and key
+        assert np.isfinite(result.total_time_s).all()

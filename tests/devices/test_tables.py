@@ -17,12 +17,11 @@ import pytest
 from factories import random_chain, random_graph, random_platform
 from repro.cache import TableCache, table_key
 from repro.devices import SimulatedExecutor
-from repro.devices.batch import ChainCostTables, GraphCostTables, build_cost_tables
+from repro.devices.batch import ChainCostTables, GraphCostTables
 from repro.devices.grid import (
     GraphGridCostTables,
     GridCostTables,
     _build_grid_tables,
-    build_grid_tables,
 )
 from repro.devices.tables import CostTables, build_tables, check_fault_args, resolve_aliases
 from repro.faults import DeviceFailure, FaultProfile, RetryPolicy, TimeoutPolicy
@@ -194,7 +193,7 @@ class TestProtocolSurface:
 
 
 class TestShims:
-    """The four public builders are thin shims over ``build_tables``."""
+    """The two fault builders are thin shims over ``build_tables``."""
 
     def test_shims_match_the_dispatcher(self):
         rng = np.random.default_rng(5)
@@ -202,14 +201,6 @@ class TestShims:
         chain = random_chain(rng, n_tasks=3)
         platforms = scenario_grid().platforms(platform)
         retry = RetryPolicy(max_attempts=2)
-        assert (
-            build_cost_tables(chain, platform).fingerprint
-            == build_tables(chain, platform).fingerprint
-        )
-        assert (
-            build_grid_tables(chain, platforms).fingerprint
-            == build_tables(chain, platforms).fingerprint
-        )
         assert (
             build_fault_tables(chain, platform, retry=retry).fingerprint
             == build_tables(chain, platform, retry=retry).fingerprint

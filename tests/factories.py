@@ -81,3 +81,43 @@ def random_graph(
         if rng.random() < edge_probability
     ]
     return TaskGraph(chain.tasks, edges=edges, name=f"random-graph-{n_tasks}")
+
+
+def partially_linked_platform(missing: tuple[str, str]) -> Platform:
+    """Host ``D`` plus devices ``A`` and ``B``, linked pairwise except ``missing``."""
+    devices = {alias: DeviceSpec(name=f"dev-{alias}") for alias in "DAB"}
+    links = {
+        pair: LinkSpec(name="".join(pair), bandwidth_gbs=1.0, latency_s=1e-3)
+        for pair in (("D", "A"), ("D", "B"), ("A", "B"))
+        if pair != missing
+    }
+    return Platform(devices=devices, links=links, host="D", name="partial")
+
+
+def diamond_workloads() -> tuple[TaskChain, TaskGraph]:
+    """A 4-task chain and the fork-join ``L1 -> (L2, L3) -> L4`` over the same tasks."""
+    tasks = [GemmLoopTask(16, name=f"L{i + 1}") for i in range(4)]
+    chain = TaskChain(tasks, name="partial-chain")
+    edges = [("L1", "L2"), ("L1", "L3"), ("L2", "L4"), ("L3", "L4")]
+    return chain, TaskGraph(tasks, edges=edges, name="partial-graph")
+
+
+#: (missing link, workload kind, placements, exact KeyError text).  The first
+#: offending row is named; a graph join names its first predecessor (in
+#: canonical edge order) whose hop crosses the gap, and a missing host link
+#: wins over a penalty hop.
+MISSING_LINK_CASES = [
+    (("A", "B"), "chain", ["DDDD", "DABD", "DDAB"],
+     "no link defined between 'A' and 'B' (required by placement 'DABD')"),
+    (("D", "B"), "chain", ["DDDD", "DABD", "DDAB"],
+     "no link defined between 'D' and 'B' (required by placement 'DABD')"),
+    (("A", "B"), "graph", ["DDDD", "DAAB", "DABA"],
+     "no link defined between 'A' and 'B' (required by placement 'DAAB')"),
+    (("A", "B"), "graph", ["DDDD", "DBAA"],
+     "no link defined between 'B' and 'A' (required by placement 'DBAA')"),
+    (("D", "B"), "graph", ["DDDD", "DBAA"],
+     "no link defined between 'D' and 'B' (required by placement 'DBAA')"),
+]
+
+#: Placements that avoid the A <-> B gap on both diamond workloads.
+MISSING_LINK_SAFE = ["DDDD", "DADA", "ADDA", "DBBD"]

@@ -15,9 +15,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from factories import random_chain, random_graph, random_platform
+from factories import (
+    MISSING_LINK_CASES,
+    MISSING_LINK_SAFE,
+    diamond_workloads,
+    partially_linked_platform,
+    random_chain,
+    random_graph,
+    random_platform,
+)
 
-from repro.devices import build_cost_tables, edge_cluster_platform, execute_placements
+from repro.devices import build_tables, edge_cluster_platform, execute_placements
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
@@ -32,7 +40,7 @@ from repro.faults import (
     expected_record,
 )
 from repro.offload import placement_matrix
-from repro.scenarios import DeviceFailureRate, ScenarioGrid
+from repro.scenarios import DeviceFailureRate, LinkBandwidthScale, ScenarioGrid
 from repro.tasks import TaskGraph
 
 SCALAR_FIELDS = (
@@ -124,7 +132,7 @@ class TestFaultFreeCollapse:
         platform = random_platform(rng, n_devices=3)
         for workload in (random_chain(rng, 4), random_graph(rng, 4)):
             matrix = placement_matrix(len(workload), len(platform.aliases))
-            classic = execute_placements(build_cost_tables(workload, platform), matrix)
+            classic = execute_placements(build_tables(workload, platform), matrix)
             fault = execute_fault_placements(
                 build_fault_tables(workload, platform, retry=RetryPolicy()), matrix
             )
@@ -143,7 +151,7 @@ class TestFaultFreeCollapse:
         platform = random_platform(rng, n_devices=3)
         chain = random_chain(rng, 3)
         matrix = placement_matrix(len(chain), len(platform.aliases))
-        classic = execute_placements(build_cost_tables(chain, platform), matrix)
+        classic = execute_placements(build_tables(chain, platform), matrix)
         fault = execute_fault_placements(
             build_fault_tables(
                 chain, platform, retry=RetryPolicy(max_attempts=4, backoff_base_s=0.5)
@@ -248,3 +256,52 @@ class TestExpectedRecordNormalisation:
         tables = build_fault_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match="has 2 entries but workload"):
             expected_record(tables, ("D", "E"))
+
+
+class TestFaultMissingLinks:
+    """The fault kernels reject gap-crossing placements like the classic ones."""
+
+    GRID = ScenarioGrid.cartesian([(LinkBandwidthScale(), [1.0, 0.5, 0.25])])
+    #: ``B`` never succeeds under DOOMED, so its expected times are ``inf``;
+    #: a missing link must still be reported, not hidden behind the ``inf``.
+    PROFILES = {
+        "faulty": FaultProfile(device_failure=DeviceFailure(rate=0.05)),
+        "doomed": FaultProfile(device_failure=DeviceFailure(rate=0.05, rates={"B": 1.0})),
+    }
+
+    @staticmethod
+    def workload(kind: str):
+        chain, graph = diamond_workloads()
+        return chain if kind == "chain" else graph
+
+    @pytest.mark.parametrize("missing, kind, placements, message", MISSING_LINK_CASES)
+    @pytest.mark.parametrize("scenarios", [None, GRID], ids=["plain", "grid"])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_exact_error_text(self, missing, kind, placements, message, scenarios, profile):
+        tables = build_tables(
+            self.workload(kind),
+            partially_linked_platform(missing),
+            scenarios=scenarios,
+            retry=RetryPolicy(max_attempts=2),
+            faults=self.PROFILES[profile],
+        )
+        with pytest.raises(KeyError) as excinfo:
+            tables.execute(placements)
+        assert excinfo.value.args[0] == message
+
+    @pytest.mark.parametrize("kind", ["chain", "graph"])
+    @pytest.mark.parametrize("scenarios", [None, GRID], ids=["plain", "grid"])
+    def test_result_carries_the_callers_tables(self, kind, scenarios):
+        tables = build_tables(
+            self.workload(kind),
+            partially_linked_platform(("A", "B")),
+            scenarios=scenarios,
+            retry=RetryPolicy(max_attempts=2),
+            faults=self.PROFILES["faulty"],
+        )
+        key = tables.fingerprint
+        result = tables.execute(MISSING_LINK_SAFE)
+        assert result.fault_tables is tables
+        assert result.tables is tables.base
+        assert tables.fingerprint == key and key
+        assert np.isfinite(result.total_time_s).all()

@@ -29,7 +29,7 @@ from repro.devices import (
     GraphCostTables,
     Platform,
     SimulatedExecutor,
-    build_cost_tables,
+    build_tables,
     edge_cluster_platform,
     execute_placements,
     execute_placements_grid,
@@ -157,10 +157,10 @@ class TestLinearGraphEqualsChain:
         graph = TaskGraph.from_chain(chain)
         matrix = placement_matrix(4, 3)
         chain_grid = execute_placements_grid(
-            ChainCostTables.build_grid(chain, platforms), matrix
+            build_tables(chain, platforms), matrix
         )
         graph_grid = execute_placements_grid(
-            GraphCostTables.build_grid(graph, platforms), matrix
+            build_tables(graph, platforms), matrix
         )
         for field in GRID_STACKED_FIELDS:
             assert np.array_equal(
@@ -253,7 +253,7 @@ class TestGraphBatchEqualsSequential:
         platforms = scenario_platforms(base)
         graph = random_graph(rng, 4, edge_probability=0.6)
         matrix = placement_matrix(4, 3)
-        tables = GraphCostTables.build_grid(graph, platforms)
+        tables = build_tables(graph, platforms)
         assert isinstance(tables, GraphGridCostTables)
         grid = execute_placements_grid(tables, matrix)
         for index, platform in enumerate(platforms):
@@ -278,7 +278,7 @@ class TestGraphBatchEqualsSequential:
         platform = Platform(devices=base.devices, links=links, host="D", name="partial")
         chain = random_chain(rng, 3)
         graph = TaskGraph(chain.tasks, edges=[("L1", "L2"), ("L2", "L3")])
-        tables = GraphCostTables.build_grid(graph, [platform, platform])
+        tables = build_tables(graph, [platform, platform])
         safe = execute_placements_grid(tables, np.array([[0, 1, 0], [2, 0, 1]]))
         assert safe.total_time_s.shape == (2, 2)
         with pytest.raises(KeyError, match="between 'A' and 'B'.*'DAB'"):
@@ -389,12 +389,12 @@ class TestGraphSemantics:
         positional = executor.execute_graph(graph, "DAED")
         assert_records_identical(positional, mapped)
 
-    def test_build_cost_tables_dispatch(self):
+    def test_build_tables_dispatch(self):
         platform = edge_cluster_platform()
         chain = table1_chain(loop_size=1)
         graph = TaskGraph.from_chain(chain)
-        assert type(build_cost_tables(chain, platform)) is ChainCostTables
-        tables = build_cost_tables(graph, platform)
+        assert type(build_tables(chain, platform)) is ChainCostTables
+        tables = build_tables(graph, platform)
         assert isinstance(tables, GraphCostTables)
         assert tables.pred_positions == ((), (0,), (1,))
 

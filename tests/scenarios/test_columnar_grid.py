@@ -48,7 +48,6 @@ from repro.devices.grid import (
     _fused_params,
     _grid_value_arrays,
     _slice_keys,
-    build_grid_tables,
 )
 from repro.devices.params import PlatformParams
 from repro.devices.tables import build_tables, resolve_aliases
@@ -171,7 +170,7 @@ class TestColumnarEqualsObjectPath:
         assert tuple(grid) == scenarios  # row views round-trip
         columnar = build_tables(chain, BASE, scenarios=grid)
         assert_same_slices(columnar, object_path_values(chain, scenarios))
-        assert_same_slices(columnar, build_grid_tables(chain, grid.platforms(BASE)))
+        assert_same_slices(columnar, build_tables(chain, grid.platforms(BASE)))
 
     def test_every_shipped_axis_in_one_mixed_grid(self):
         chain = small_chain()

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.devices import (
-    ChainCostTables,
     SimulatedExecutor,
+    build_tables,
     edge_cluster_platform,
     execute_placements_grid,
     lte,
@@ -63,7 +63,7 @@ def setup():
     chain = drift_chain()
     scenarios = link_degradation_grid(RADIO, start=wifi_ac(), end=lte(), n_points=4)
     executor = SimulatedExecutor(platform, noise=NoNoise(), seed=0)
-    tables = ChainCostTables.build_grid(chain, scenarios.platforms(platform))
+    tables = build_tables(chain, scenarios.platforms(platform))
     grid = execute_placements_grid(tables, placement_matrix(len(chain), 4))
     return platform, chain, scenarios, executor, grid
 

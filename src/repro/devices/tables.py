@@ -26,9 +26,8 @@ Every returned object satisfies the :class:`CostTables` protocol --
 ``execute(placements)``, ``.n_tasks``, ``.aliases`` and a content-addressed
 ``.fingerprint`` (the composite SHA-256 of the build configuration, see
 :mod:`repro.cache`) under which the executor's :class:`~repro.cache.TableCache`
-stores it.  The two fault builders (``build_fault_tables``,
-``build_fault_grid_tables``) are thin shims over this function, so every
-table in the system is constructed through one code path.
+stores it.  Every table in the system, fault-aware ones included
+(``retry=...``), is constructed through this one code path.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..devices.tables import build_tables
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
-from .tables import build_fault_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..devices.simulator import SimulatedExecutor
@@ -135,8 +135,8 @@ def _fault_stream_plan(
             f"{list(aliases)} (limit {fallback_limit}); shrink the device set "
             f"or use search_space(..., retry=...) to stream the space in shards"
         )
-    tables = build_fault_tables(
-        workload, executor.platform, aliases, retry=retry, faults=faults, timeout=timeout
+    tables = build_tables(
+        workload, executor.platform, devices=aliases, retry=retry, faults=faults, timeout=timeout
     )
     batch = tables.execute(placement_matrix(n_tasks, len(aliases)))
     values = batch.metric_values(objective)

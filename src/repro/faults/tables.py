@@ -48,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FaultChainCostTables",
     "FaultGridCostTables",
-    "build_fault_tables",
-    "build_fault_grid_tables",
     "resolve_fault_profile",
 ]
 
@@ -161,27 +159,6 @@ class FaultChainCostTables:
         return self.base.workload
 
 
-def build_fault_tables(
-    workload: "TaskChain | TaskGraph",
-    platform: "Platform",
-    devices: Sequence[str] | None = None,
-    *,
-    retry: RetryPolicy,
-    faults: FaultProfile | None = None,
-    timeout: TimeoutPolicy | None = None,
-) -> FaultChainCostTables:
-    """Build fault-augmented tables of a workload on a platform.
-
-    ``faults`` defaults to the platform's attached profile (or the fault-free
-    profile if it has none); ``timeout`` defaults to no per-attempt budget.
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(
-        workload, platform, devices=devices, faults=faults, retry=retry, timeout=timeout
-    )
-
-
 def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> TimeoutPolicy:
     if not isinstance(retry, RetryPolicy):
         raise TypeError(f"retry must be a RetryPolicy, got {retry!r}")
@@ -201,7 +178,7 @@ def _build_fault_tables(
     faults: FaultProfile | None = None,
     timeout: TimeoutPolicy | None = None,
 ) -> FaultChainCostTables:
-    """The fault-table builder behind :func:`build_fault_tables`."""
+    """The fault-table builder behind ``build_tables(..., retry=...)``."""
     timeout = _check_policies(retry, timeout)
     profile = resolve_fault_profile(platform, faults)
     base = build_tables(workload, platform, devices=devices)
@@ -222,7 +199,7 @@ class FaultGridCostTables:
     """Condition-stacked fault tables: one profile and survival slice per scenario.
 
     ``table(i)`` slices out one scenario's :class:`FaultChainCostTables`,
-    bitwise identical to :func:`build_fault_tables` on that scenario's
+    bitwise identical to ``build_tables(..., retry=...)`` on that scenario's
     platform -- the same slicing guarantee the base grid gives.
     """
 
@@ -288,30 +265,6 @@ class FaultGridCostTables:
         )
 
 
-def build_fault_grid_tables(
-    workload: "TaskChain | TaskGraph",
-    platforms: Sequence["Platform"],
-    devices: Sequence[str] | None = None,
-    *,
-    retry: RetryPolicy,
-    faults: FaultProfile | None = None,
-    timeout: TimeoutPolicy | None = None,
-) -> FaultGridCostTables:
-    """Fault-augmented grid tables over scenario platforms.
-
-    With ``faults=None`` each scenario evaluates under its own platform's
-    attached profile -- the shape produced by the failure-regime condition
-    axes -- so a single grid sweep spans fault regimes the same way it spans
-    link or clock drift.
-
-    Thin shim over :func:`repro.devices.tables.build_tables`, the single
-    construction path for every table family.
-    """
-    return build_tables(
-        workload, platforms, devices=devices, faults=faults, retry=retry, timeout=timeout
-    )
-
-
 def _build_fault_grid_tables(
     workload: "TaskChain | TaskGraph",
     platforms: "Sequence[Platform] | None",
@@ -324,7 +277,7 @@ def _build_fault_grid_tables(
     scenarios=None,
     slice_cache=None,
 ) -> FaultGridCostTables:
-    """The fault-grid builder behind :func:`build_fault_grid_tables`.
+    """The fault-grid builder behind ``build_tables(..., retry=...)`` over scenarios.
 
     Given ``platform`` + ``scenarios`` (the fused form), the base grid routes
     through the array-space builder and per-scenario platforms are derived

@@ -6,7 +6,8 @@ fully materialised ``label -> AlgorithmProfile`` mapping.  This subpackage
 selects directly from :class:`~repro.devices.batch.BatchExecutionResult`
 chunks in bounded memory: top-K under scalar objectives, an incremental
 Pareto frontier, and vectorized feasibility constraints, with optional
-multi-process sharding of the placement range (:func:`search_space`).
+multi-process sharding of the placement range or scenario axis on one shard
+runner (:mod:`repro.search.shards`).
 ``repro.selection.pareto`` keeps the materialised-profiles facade over the
 same dominance kernel (:func:`pareto_mask`).
 

@@ -13,10 +13,13 @@ across a whole :class:`~repro.scenarios.ScenarioGrid`:
   maximum regret against each scenario's own best placement
   (:class:`RegretObjective`);
 * :func:`search_grid` streams the placement space chunk by chunk through
-  :func:`~repro.devices.grid.execute_placements_grid`, folds each chunk into
-  bounded :class:`~repro.search.topk.StreamingTopK` state per robust
-  objective, and tracks each scenario's individual winner so condition drift
-  is visible in the result.
+  the grid tables' ``execute`` kernel, folds each chunk into bounded
+  :class:`~repro.search.topk.StreamingTopK` state per robust objective, and
+  tracks each scenario's individual winner so condition drift is visible in
+  the result.  Each pass (regret baselines, then selection) is one fold over
+  a chunk stream; run in parallel, it goes through the shard runner of
+  :mod:`repro.search.shards`, split along placements (``n_workers``) or
+  scenarios (``scenario_shards``).
 
 Everything is free of lambdas and mutable shared state, like the rest of the
 search layer: objective specs are value-type dataclasses that survive
@@ -26,6 +29,7 @@ pickling.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -34,8 +38,9 @@ import numpy as np
 
 from ..offload.space import indices_to_matrix, iter_placement_batches, space_size
 from .constraints import Constraint, feasible_mask
-from .driver import TopSelection, _shard_ranges
+from .driver import TopSelection
 from .objectives import Objective, as_objective
+from .shards import ShardPool, fold, shard_ranges
 from .topk import StreamingTopK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -495,26 +500,6 @@ def _scenario_entries(scenarios) -> tuple["ScenarioGrid", tuple[str, ...], np.nd
     return scenarios, scenarios.names, np.array(scenarios.weights)
 
 
-def _iter_grid_chunks(
-    tables: "GridCostTables", batch_size: int, start: int, stop: int
-) -> "Iterable[tuple[int, GridExecutionResult]]":
-    from ..devices.grid import execute_placements_grid
-    from ..faults.engine import execute_fault_placements_grid
-    from ..faults.tables import FaultGridCostTables
-
-    run = (
-        execute_fault_placements_grid
-        if isinstance(tables, FaultGridCostTables)
-        else execute_placements_grid
-    )
-    cursor = start
-    for matrix in iter_placement_batches(
-        tables.n_tasks, tables.n_devices, batch_size, start=start, stop=stop
-    ):
-        yield cursor, run(tables, matrix)
-        cursor += matrix.shape[0]
-
-
 def _feasible(
     grid: "GridExecutionResult", constraints: Sequence[Constraint]
 ) -> np.ndarray:
@@ -592,7 +577,11 @@ def _grid_chunk_stream(
     floating point, so every path must reduce the exact same matrix).  It is
     ``None`` when no placement of the chunk is feasible.
     """
-    for chunk_start, grid in _iter_grid_chunks(tables, batch_size, start, stop):
+    chunk_start = start
+    for matrix in iter_placement_batches(
+        tables.n_tasks, tables.n_devices, batch_size, start=start, stop=stop
+    ):
+        grid = tables.execute(matrix)
         mask = _feasible(grid, constraints)
         values = (
             {name: _base_values(base, grid) for name, base in bases.items()}
@@ -600,6 +589,7 @@ def _grid_chunk_stream(
             else None
         )
         yield chunk_start, len(grid), mask, values
+        chunk_start += len(grid)
 
 
 def _fold_baselines(
@@ -668,159 +658,67 @@ def _fold_selection(
     )
 
 
-def _sweep_baselines(
+def _sweep_range(
     tables: "GridCostTables",
     bases: Mapping[str, "str | Objective"],
-    baseline_names: Sequence[str],
     constraints: Sequence[Constraint],
     batch_size: int,
     start: int,
     stop: int,
-) -> _BaselinePass:
+    fold_pass,
+    *fold_args,
+):
+    """One pass of :func:`search_grid` over placements [start, stop) of ``tables``.
+
+    ``fold_pass`` is :func:`_fold_baselines` or :func:`_fold_selection`.  The
+    serial sweep runs this in-process on the executor's cached tables, and
+    each placement shard runs it in its worker.
+    """
     chunks = _grid_chunk_stream(tables, bases, constraints, batch_size, start, stop)
-    return _fold_baselines(tables.n_scenarios, chunks, baseline_names)
+    return fold_pass(tables.n_scenarios, chunks, *fold_args)
 
 
-def _sweep_selection(
+def _block_chunk(
     tables: "GridCostTables",
-    coerced: Sequence[RobustObjective],
     bases: Mapping[str, "str | Objective"],
-    top_k: int,
     constraints: Sequence[Constraint],
-    baselines: Mapping[str, np.ndarray],
-    batch_size: int,
     start: int,
     stop: int,
-) -> _SelectionPass:
-    chunks = _grid_chunk_stream(tables, bases, constraints, batch_size, start, stop)
-    return _fold_selection(tables.n_scenarios, chunks, coerced, bases, top_k, baselines)
-
-
-def _build_shard_tables(
-    chain: "TaskChain | TaskGraph",
-    platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-    fault_spec: tuple | None,
-) -> "GridCostTables":
-    """Grid tables of one worker: fault-augmented when ``fault_spec`` is set."""
-    from ..devices.tables import build_tables
-
-    if fault_spec is not None:
-        faults, retry, timeout = fault_spec
-        return build_tables(
-            chain, platform, devices=devices, scenarios=scenarios,
-            faults=faults, retry=retry, timeout=timeout,
-        )
-    return build_tables(chain, platform, devices=devices, scenarios=scenarios)
-
-
-def _run_baseline_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    bases: dict,
-    baseline_names: tuple,
-    constraints: tuple,
-    batch_size: int,
-    shard_start: int,
-    shard_stop: int,
-    fault_spec: tuple | None = None,
-) -> _BaselinePass:
-    """Baseline sweep of one contiguous range (runs inside a worker process)."""
-    tables = _build_shard_tables(chain, platform, scenarios, devices, fault_spec)
-    return _sweep_baselines(
-        tables, bases, baseline_names, constraints, batch_size, shard_start, shard_stop
-    )
-
-
-def _run_selection_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    coerced: tuple,
-    bases: dict,
-    top_k: int,
-    constraints: tuple,
-    baselines: dict,
-    batch_size: int,
-    shard_start: int,
-    shard_stop: int,
-    fault_spec: tuple | None = None,
-) -> _SelectionPass:
-    """Selection sweep of one contiguous range (runs inside a worker process)."""
-    tables = _build_shard_tables(chain, platform, scenarios, devices, fault_spec)
-    return _sweep_selection(
-        tables, coerced, bases, top_k, constraints, baselines, batch_size,
-        shard_start, shard_stop,
-    )
-
-
-# -- scenario sharding -------------------------------------------------------
-#
-# Each scenario shard is a single-worker process pool whose initializer builds
-# the grid tables of one contiguous scenario block.  For every placement
-# chunk, all shards evaluate the same placements against their scenario rows;
-# the parent ANDs the feasibility masks and concatenates the raw value
-# matrices along the scenario axis (in shard order), reconstructing exactly
-# the serial sweep's ``(s, n)`` chunk -- every fold, reduction and tie rule
-# then runs on bit-identical inputs.
-
-_SCENARIO_SHARD: dict = {}
-
-
-def _init_scenario_shard(
-    platform,
-    scenarios: "ScenarioGrid",
-    chain: "TaskChain | TaskGraph",
-    devices: Sequence[str] | None,
-    fault_spec: tuple | None,
-    bases: dict,
-    constraints: tuple,
-) -> None:
-    """Build one scenario block's tables inside its worker process."""
-    _SCENARIO_SHARD["tables"] = _build_shard_tables(
-        chain, platform, scenarios, devices, fault_spec
-    )
-    _SCENARIO_SHARD["bases"] = bases
-    _SCENARIO_SHARD["constraints"] = constraints
-
-
-def _scenario_shard_chunk(
-    start: int, stop: int
 ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """Evaluate one placement chunk against this worker's scenario block.
+    """Evaluate one placement chunk against a scenario shard's block.
 
     Returns the shard-local feasibility mask and the **raw, unmasked**
     ``(s_shard, n)`` base-value matrices; masking happens in the parent after
     the shard masks are merged.
     """
-    chunks = _grid_chunk_stream(
-        _SCENARIO_SHARD["tables"],
-        _SCENARIO_SHARD["bases"],
-        _SCENARIO_SHARD["constraints"],
-        stop - start,
-        start,
-        stop,
+    (_, _, mask, values), = _grid_chunk_stream(
+        tables, bases, constraints, stop - start, start, stop
     )
-    (_, _, mask, values), = chunks
     return mask, values
 
 
 def _scenario_sharded_chunks(
-    pools: Sequence,
+    pool: ShardPool,
+    bases: Mapping[str, "str | Objective"],
+    constraints: Sequence[Constraint],
     batch_size: int,
     start: int,
     stop: int,
 ) -> "Iterable[tuple[int, int, np.ndarray, dict[str, np.ndarray] | None]]":
-    """Merge per-shard chunk evaluations back into the serial chunk stream."""
+    """Stitch scenario-shard chunk evaluations back into the serial chunk stream.
+
+    For every placement chunk, all shards evaluate the same placements
+    against their scenario blocks; the masks are ANDed and the raw value
+    matrices concatenated along the scenario axis in shard order, which
+    reconstructs exactly the serial sweep's ``(s, n)`` chunk -- every fold,
+    reduction and tie rule then runs on bit-identical inputs.
+    """
     cursor = start
     while cursor < stop:
         chunk_stop = min(cursor + batch_size, stop)
-        futures = [pool.submit(_scenario_shard_chunk, cursor, chunk_stop) for pool in pools]
-        parts = [future.result() for future in futures]
+        parts = pool.map(
+            _block_chunk, [(bases, constraints, cursor, chunk_stop)] * len(pool.ranges)
+        )
         mask = parts[0][0].copy()
         for shard_mask, _ in parts[1:]:
             mask &= shard_mask
@@ -828,12 +726,9 @@ def _scenario_sharded_chunks(
         if mask.any():
             # A surviving placement is feasible in every shard, so every shard
             # produced a value matrix.
-            names = parts[0][1].keys()
             values = {
-                name: np.concatenate(
-                    [part_values[name] for _, part_values in parts], axis=0
-                )
-                for name in names
+                name: np.concatenate([part_values[name] for _, part_values in parts], axis=0)
+                for name in parts[0][1]
             }
         yield cursor, chunk_stop - cursor, mask, values
         cursor = chunk_stop
@@ -892,24 +787,27 @@ def search_grid(
     """Stream a placement range under every scenario and select robust winners.
 
     Chunks of the placement space are evaluated against the whole condition
-    grid in one vectorized pass each (:func:`execute_placements_grid`); per
-    robust objective a :class:`StreamingTopK` keeps the best ``top_k``
-    placements, and each scenario's individual winner is tracked per base
-    objective so the drift between conditions is part of the result.  Peak
-    memory is one ``(n_scenarios, batch_size)`` chunk plus the O(top_k)
-    selection state.  With ``n_workers > 1`` the index range is sharded
-    across worker processes exactly like :func:`~repro.search.search_space`;
-    shard results merge associatively, so the outcome is identical to the
-    serial sweep.
+    grid in one vectorized pass each (``tables.execute``); per robust
+    objective a :class:`StreamingTopK` keeps the best ``top_k`` placements,
+    and each scenario's individual winner is tracked per base objective so
+    the drift between conditions is part of the result.  Peak memory is one
+    ``(n_scenarios, batch_size)`` chunk plus the O(top_k) selection state.
 
-    ``scenario_shards`` splits along the *other* axis: each worker process
+    Both parallel modes run on one :class:`~repro.search.shards.ShardPool`
+    that serves the baseline and the selection pass alike.  With
+    ``n_workers > 1`` the index range is split into contiguous shards
+    exactly like :func:`~repro.search.search_space`; shard results merge
+    associatively in shard order, so the outcome is identical to the serial
+    sweep.  ``scenario_shards`` splits along the *other* axis: each worker
     holds the grid tables of one contiguous scenario block and evaluates
     every placement chunk against its block; the parent stitches the
     per-shard value matrices back together along the scenario axis before
     any reduction runs, so the result is bitwise identical to the serial
     sweep.  Scenario sharding pays off when the scenario count dominates the
     chunk cost; it is mutually exclusive with ``n_workers > 1`` (shard one
-    axis or the other, not both).
+    axis or the other, not both).  Shard counts below 1 raise, and a failing
+    shard raises a ``RuntimeError`` naming its placement range or scenario
+    block.
 
     Constraints are enforced *robustly*: a placement is feasible only if it
     satisfies every constraint under every scenario.  Regret objectives need
@@ -937,10 +835,9 @@ def search_grid(
             "got faults/timeout without a retry policy"
         )
     grid, scenario_names, grid_weights = _scenario_entries(scenarios)
-    fault_spec = (faults, retry, timeout) if retry is not None else None
     # The driving process serves its tables from the executor's shared
     # content-addressed cache (shard workers, living in other processes,
-    # rebuild locally via the same build_tables path).
+    # build theirs through the same build_tables path).
     tables = executor.grid_cost_tables(
         chain,
         grid,
@@ -981,101 +878,27 @@ def search_grid(
         bases.setdefault(name, objective.base)
     base_names = list(bases)
 
-    ranges = _shard_ranges(start, stop, n_workers) if n_workers and n_workers > 1 else []
-    sharded = len(ranges) > 1
-
-    if scenario_shards is not None and scenario_shards < 1:
-        raise ValueError("scenario_shards must be >= 1")
-    n_shards = min(scenario_shards, tables.n_scenarios) if scenario_shards else 1
-    if n_shards > 1 and sharded:
+    ranges = shard_ranges(start, stop, n_workers)
+    blocks = shard_ranges(0, tables.n_scenarios, scenario_shards, name="scenario_shards")
+    if len(ranges) > 1 and len(blocks) > 1:
         raise ValueError(
             "scenario_shards and n_workers > 1 are mutually exclusive: "
             "shard across scenarios or across placements, not both"
         )
-    scenario_pools: list = []
-    if n_shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        for lo, hi in _shard_ranges(0, tables.n_scenarios, n_shards):
-            scenario_pools.append(
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_scenario_shard,
-                    initargs=(
-                        executor.platform,
-                        grid.take(np.arange(lo, hi)),
-                        chain,
-                        devices,
-                        fault_spec,
-                        bases,
-                        tuple(constraints),
-                    ),
-                )
-            )
-
-    try:
-        return _search_grid_passes(
-            executor=executor,
-            chain=chain,
-            grid=grid,
-            scenario_names=scenario_names,
-            tables=tables,
-            coerced=coerced,
-            bases=bases,
-            base_names=base_names,
-            top_k=top_k,
-            constraints=constraints,
-            devices=devices,
-            batch_size=batch_size,
-            start=start,
-            stop=stop,
-            total=total,
-            ranges=ranges,
-            sharded=sharded,
-            scenario_pools=scenario_pools,
-            baseline_method=baseline_method,
-            fault_spec=fault_spec,
-        )
-    finally:
-        for pool in scenario_pools:
-            pool.shutdown()
-
-
-def _search_grid_passes(
-    *,
-    executor: "SimulatedExecutor",
-    chain: "TaskChain | TaskGraph",
-    grid: "ScenarioGrid",
-    scenario_names: tuple[str, ...],
-    tables: "GridCostTables",
-    coerced: tuple[RobustObjective, ...],
-    bases: "dict[str, str | Objective]",
-    base_names: list,
-    top_k: int,
-    constraints: Sequence[Constraint],
-    devices: Sequence[str] | None,
-    batch_size: int,
-    start: int,
-    stop: int,
-    total: int,
-    ranges: list,
-    sharded: bool,
-    scenario_pools: list,
-    baseline_method: str,
-    fault_spec: tuple | None,
-) -> GridSearchResult:
-    """The two streaming passes of :func:`search_grid` (pools already set up)."""
-    # -- pass 1 (only when regret objectives are present): baselines --------
+    # Regret baselines come from the exact per-scenario DP where eligible,
+    # otherwise from an extra streaming pass ahead of the selection pass.
     baseline_names = tuple(
         dict.fromkeys(
             _base_name(objective.base) for objective in coerced if objective.requires_baseline
         )
     )
     baselines: dict[str, np.ndarray] = {}
+    stream_baselines = False
     if baseline_names:
         planner_reason = _planner_baseline_reason(
             chain, tuple(constraints), start, stop, total, bases, baseline_names,
-            fault_aware=fault_spec is not None,
+            fault_aware=retry is not None,
         )
         if baseline_method == "planner" and planner_reason is not None:
             raise ValueError(
@@ -1093,101 +916,45 @@ def _search_grid_passes(
                 # No feasible placement at all: same contract as the streaming
                 # pass, which leaves the baselines empty.
                 baselines = {}
-        elif sharded:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                shards = pool.map(
-                    _run_baseline_shard,
-                    *zip(
-                        *[
-                            (
-                                executor.platform,
-                                grid,
-                                chain,
-                                devices,
-                                bases,
-                                baseline_names,
-                                tuple(constraints),
-                                batch_size,
-                                shard_start,
-                                shard_stop,
-                                fault_spec,
-                            )
-                            for shard_start, shard_stop in ranges
-                        ]
-                    ),
-                )
-                merged_baselines: _BaselinePass | None = None
-                for shard in shards:
-                    if merged_baselines is None:
-                        merged_baselines = shard
-                    else:
-                        merged_baselines.merge(shard)
-            if merged_baselines.any_feasible:
-                baselines = merged_baselines.minima
-        elif scenario_pools:
-            sweep = _fold_baselines(
-                tables.n_scenarios,
-                _scenario_sharded_chunks(scenario_pools, batch_size, start, stop),
-                baseline_names,
-            )
-            if sweep.any_feasible:
-                baselines = sweep.minima
         else:
-            sweep = _sweep_baselines(
-                tables, bases, baseline_names, constraints, batch_size, start, stop
+            stream_baselines = True
+
+    sharded = len(ranges) > 1 or len(blocks) > 1
+    with (
+        ShardPool(
+            chain, executor.platform, ranges if len(ranges) > 1 else blocks,
+            devices=devices, scenarios=grid, split_scenarios=len(blocks) > 1,
+            faults=faults, retry=retry, timeout=timeout,
+        )
+        if sharded
+        else nullcontext()
+    ) as pool:
+
+        def run_pass(fold_pass, *fold_args):
+            """One streaming pass: in-process, per placement shard, or stitched scenario shards."""
+            if pool is None:
+                return _sweep_range(
+                    tables, bases, constraints, batch_size, start, stop, fold_pass, *fold_args
+                )
+            if pool.split_scenarios:
+                chunks = _scenario_sharded_chunks(
+                    pool, bases, constraints, batch_size, start, stop
+                )
+                return fold_pass(tables.n_scenarios, chunks, *fold_args)
+            return fold(
+                pool.map(
+                    _sweep_range,
+                    [(bases, constraints, batch_size, a, b, fold_pass, *fold_args)
+                     for a, b in ranges],
+                )
             )
+
+        if stream_baselines:
+            sweep = run_pass(_fold_baselines, baseline_names)
             if sweep.any_feasible:
                 baselines = sweep.minima
+        selection = run_pass(_fold_selection, coerced, bases, top_k, baselines)
 
-    # -- selection pass ------------------------------------------------------
-    if sharded:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            shards = pool.map(
-                _run_selection_shard,
-                *zip(
-                    *[
-                        (
-                            executor.platform,
-                            grid,
-                            chain,
-                            devices,
-                            coerced,
-                            bases,
-                            top_k,
-                            tuple(constraints),
-                            baselines,
-                            batch_size,
-                            shard_start,
-                            shard_stop,
-                            fault_spec,
-                        )
-                        for shard_start, shard_stop in ranges
-                    ]
-                ),
-            )
-            selection: _SelectionPass | None = None
-            for shard in shards:
-                if selection is None:
-                    selection = shard
-                else:
-                    selection.merge(shard)
-    elif scenario_pools:
-        selection = _fold_selection(
-            tables.n_scenarios,
-            _scenario_sharded_chunks(scenario_pools, batch_size, start, stop),
-            coerced,
-            bases,
-            top_k,
-            baselines,
-        )
-    else:
-        selection = _sweep_selection(
-            tables, coerced, bases, top_k, constraints, baselines, batch_size, start, stop
-        )
     selectors = selection.selectors
     scenario_best_idx = selection.scenario_best_idx
     scenario_best_val = selection.scenario_best_val

@@ -30,8 +30,6 @@ from repro.faults.tables import (
     FaultGridCostTables,
     _build_fault_grid_tables,
     _build_fault_tables,
-    build_fault_grid_tables,
-    build_fault_tables,
 )
 from repro.offload import placement_matrix
 from repro.scenarios import DeviceLoadFactor, Scenario, ScenarioGrid
@@ -193,22 +191,7 @@ class TestProtocolSurface:
 
 
 class TestShims:
-    """The two fault builders are thin shims over ``build_tables``."""
-
-    def test_shims_match_the_dispatcher(self):
-        rng = np.random.default_rng(5)
-        platform = random_platform(rng, n_devices=2)
-        chain = random_chain(rng, n_tasks=3)
-        platforms = scenario_grid().platforms(platform)
-        retry = RetryPolicy(max_attempts=2)
-        assert (
-            build_fault_tables(chain, platform, retry=retry).fingerprint
-            == build_tables(chain, platform, retry=retry).fingerprint
-        )
-        assert (
-            build_fault_grid_tables(chain, platforms, retry=retry).fingerprint
-            == build_tables(chain, platforms, retry=retry).fingerprint
-        )
+    """Fault tables wrap base tables built through the same ``build_tables`` path."""
 
     def test_fault_base_tables_carry_their_own_fingerprint(self):
         rng = np.random.default_rng(6)

@@ -33,8 +33,6 @@ from repro.faults import (
     RetryPolicy,
     StragglerModel,
     TimeoutPolicy,
-    build_fault_grid_tables,
-    build_fault_tables,
     execute_fault_placements,
     execute_fault_placements_grid,
     expected_record,
@@ -98,7 +96,7 @@ class TestVectorizedMatchesScalarReference:
             backoff_base_s=float(rng.uniform(0.0, 0.01)),
         )
         timeout = TimeoutPolicy(timeout_s=float(rng.uniform(0.05, 5.0)))
-        tables = build_fault_tables(
+        tables = build_tables(
             chain,
             platform,
             retry=retry,
@@ -116,7 +114,7 @@ class TestVectorizedMatchesScalarReference:
         platform = random_platform(rng, n_devices=3)
         graph = random_graph(rng, n_tasks=4)
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.002)
-        tables = build_fault_tables(
+        tables = build_tables(
             graph, platform, retry=retry, faults=random_profile(rng, tuple(platform.aliases))
         )
         matrix = placement_matrix(len(graph), len(platform.aliases))
@@ -134,7 +132,7 @@ class TestFaultFreeCollapse:
             matrix = placement_matrix(len(workload), len(platform.aliases))
             classic = execute_placements(build_tables(workload, platform), matrix)
             fault = execute_fault_placements(
-                build_fault_tables(workload, platform, retry=RetryPolicy()), matrix
+                build_tables(workload, platform, retry=RetryPolicy()), matrix
             )
             assert np.array_equal(fault.total_time_s, classic.total_time_s)
             assert np.array_equal(fault.energy_total_j, classic.energy_total_j)
@@ -153,7 +151,7 @@ class TestFaultFreeCollapse:
         matrix = placement_matrix(len(chain), len(platform.aliases))
         classic = execute_placements(build_tables(chain, platform), matrix)
         fault = execute_fault_placements(
-            build_fault_tables(
+            build_tables(
                 chain, platform, retry=RetryPolicy(max_attempts=4, backoff_base_s=0.5)
             ),
             matrix,
@@ -169,7 +167,7 @@ class TestImpossibleTasks:
         rng = np.random.default_rng(0)
         chain = random_chain(rng, 3)
         profile = FaultProfile(device_failure=DeviceFailure(rates={"A": 1.0}))
-        tables = build_fault_tables(
+        tables = build_tables(
             chain, platform, retry=RetryPolicy(max_attempts=5), faults=profile
         )
         matrix = placement_matrix(len(chain), len(platform.aliases))
@@ -190,7 +188,7 @@ class TestImpossibleTasks:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(1)
         chain = random_chain(rng, 2)
-        tables = build_fault_tables(
+        tables = build_tables(
             chain,
             platform,
             retry=RetryPolicy(max_attempts=3),
@@ -212,7 +210,7 @@ class TestGridSlicing:
         scenarios = ScenarioGrid.cartesian([(axis, [0.0, 0.1, 0.3])])
         platforms = scenarios.platforms(platform)
         retry = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
-        gt = build_fault_grid_tables(chain, platforms, retry=retry)
+        gt = build_tables(chain, platforms, retry=retry)
         matrix = placement_matrix(len(chain), len(platform.aliases))
         grid = execute_fault_placements_grid(gt, matrix)
         for index in range(len(platforms)):
@@ -225,7 +223,7 @@ class TestGridSlicing:
             assert np.array_equal(grid.transferred_bytes[index], single.transferred_bytes)
             assert np.array_equal(grid.flops_by_device[index], single.flops_by_device)
             # A direct build on the scenario platform matches the slice too.
-            direct = build_fault_tables(chain, platforms[index], retry=retry)
+            direct = build_tables(chain, platforms[index], retry=retry)
             assert np.array_equal(gt.node_survival[index], direct.node_survival)
 
 
@@ -234,7 +232,7 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 3)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy(max_attempts=2))
+        tables = build_tables(chain, platform, retry=RetryPolicy(max_attempts=2))
         by_alias = expected_record(tables, ("D", "E", "A"))
         by_index = expected_record(
             tables, [platform.aliases.index(a) for a in ("D", "E", "A")]
@@ -245,7 +243,7 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 2)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy())
+        tables = build_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match=r"uses device 'Z'.*candidates"):
             expected_record(tables, ("D", "Z"))
 
@@ -253,7 +251,7 @@ class TestExpectedRecordNormalisation:
         platform = edge_cluster_platform()
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 3)
-        tables = build_fault_tables(chain, platform, retry=RetryPolicy())
+        tables = build_tables(chain, platform, retry=RetryPolicy())
         with pytest.raises(ValueError, match="has 2 entries but workload"):
             expected_record(tables, ("D", "E"))
 

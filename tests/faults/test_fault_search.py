@@ -7,12 +7,11 @@ import pytest
 
 from factories import random_chain
 
-from repro.devices import SimulatedExecutor, edge_cluster_platform
+from repro.devices import SimulatedExecutor, build_tables, edge_cluster_platform
 from repro.faults import (
     DeviceFailure,
     FaultProfile,
     RetryPolicy,
-    build_fault_tables,
     execute_fault_placements,
 )
 from repro.offload import placement_matrix
@@ -50,7 +49,7 @@ class TestFaultAwareSearchSpace:
         result = search_space(
             executor, chain, objectives=("time",), faults=profile, retry=RETRY
         )
-        tables = build_fault_tables(chain, platform, retry=RETRY, faults=profile)
+        tables = build_tables(chain, platform, retry=RETRY, faults=profile)
         batch = execute_fault_placements(
             tables, placement_matrix(len(chain), len(platform.aliases))
         )
@@ -101,7 +100,7 @@ class TestFaultAwareSearchSpace:
             faults=profile,
             retry=RETRY,
         )
-        tables = build_fault_tables(chain, platform, retry=RETRY, faults=profile)
+        tables = build_tables(chain, platform, retry=RETRY, faults=profile)
         batch = execute_fault_placements(
             tables, placement_matrix(len(chain), len(platform.aliases))
         )
@@ -164,7 +163,7 @@ class TestFaultAwareSearchGrid:
         # under that scenario's attached profile.
         matrix = placement_matrix(len(chain), len(platform.aliases))
         for index, scenario_platform in enumerate(scenarios.platforms(platform)):
-            tables = build_fault_tables(chain, scenario_platform, retry=RETRY)
+            tables = build_tables(chain, scenario_platform, retry=RETRY)
             batch = execute_fault_placements(tables, matrix)
             expected = batch.label(int(np.argmin(batch.total_time_s)))
             assert result.scenario_best["time"].labels[index] == expected
@@ -200,7 +199,7 @@ class TestFaultAwareSearchGrid:
         )
         matrix = placement_matrix(len(chain), len(platform.aliases))
         for index, scenario_platform in enumerate(scenarios.platforms(platform)):
-            tables = build_fault_tables(chain, scenario_platform, retry=RETRY)
+            tables = build_tables(chain, scenario_platform, retry=RETRY)
             batch = execute_fault_placements(tables, matrix)
             assert result.baselines["time"][index] == float(np.min(batch.total_time_s))
         # An explicit "planner" request must refuse with the boundary reason.

@@ -514,40 +514,43 @@ class TestSearchGridSharding:
         chain = random_chain(rng, 4)
         scenarios = random_scenarios(rng, 2)
         objectives = [WorstCaseObjective(), RegretObjective(), ExpectedValueObjective()]
-        serial = search_grid(
-            executor, chain, scenarios, objectives=objectives, top_k=5, batch_size=13,
-            baseline_method="stream",
-        )
-        for n_workers in (2, 3):
-            sharded = search_grid(
-                executor,
-                chain,
-                scenarios,
-                objectives=objectives,
-                top_k=5,
-                batch_size=13,
-                n_workers=n_workers,
-                baseline_method="stream",
+        for workload in (chain, fork_join_graph()):
+            serial = search_grid(
+                executor, workload, scenarios, objectives=objectives, top_k=5,
+                batch_size=13, baseline_method="stream",
             )
-            assert sharded.n_evaluated == serial.n_evaluated
-            assert sharded.n_feasible == serial.n_feasible
-            for objective in objectives:
-                assert np.array_equal(
-                    sharded.top[objective.name].values, serial.top[objective.name].values
+            for n_workers in (2, 3):
+                sharded = search_grid(
+                    executor,
+                    workload,
+                    scenarios,
+                    objectives=objectives,
+                    top_k=5,
+                    batch_size=13,
+                    n_workers=n_workers,
+                    baseline_method="stream",
                 )
-                assert np.array_equal(
-                    sharded.top[objective.name].indices, serial.top[objective.name].indices
-                )
-                assert sharded.top[objective.name].labels == serial.top[objective.name].labels
-            for name in serial.scenario_best:
-                assert np.array_equal(
-                    sharded.scenario_best[name].indices, serial.scenario_best[name].indices
-                )
-                assert np.array_equal(
-                    sharded.scenario_best[name].values, serial.scenario_best[name].values
-                )
-            for name in serial.baselines:
-                assert np.array_equal(sharded.baselines[name], serial.baselines[name])
+                assert sharded.n_evaluated == serial.n_evaluated
+                assert sharded.n_feasible == serial.n_feasible
+                for objective in objectives:
+                    assert np.array_equal(
+                        sharded.top[objective.name].values, serial.top[objective.name].values
+                    )
+                    assert np.array_equal(
+                        sharded.top[objective.name].indices, serial.top[objective.name].indices
+                    )
+                    assert (
+                        sharded.top[objective.name].labels == serial.top[objective.name].labels
+                    )
+                for name in serial.scenario_best:
+                    assert np.array_equal(
+                        sharded.scenario_best[name].indices, serial.scenario_best[name].indices
+                    )
+                    assert np.array_equal(
+                        sharded.scenario_best[name].values, serial.scenario_best[name].values
+                    )
+                for name in serial.baselines:
+                    assert np.array_equal(sharded.baselines[name], serial.baselines[name])
 
     def test_sharded_sweep_with_constraints_matches_serial(self):
         rng = np.random.default_rng(22)

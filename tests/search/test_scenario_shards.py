@@ -7,9 +7,15 @@ reassembled ``(s, n)`` chunk is the exact matrix the serial sweep reduces,
 every top-K value, per-scenario winner, baseline and tie-break agrees bit for
 bit -- which these tests pin for all three robust objective families, with
 constraints, and under faults.
+
+The last tests cover the shard runner every sharded sweep goes through: shard
+counts below 1 are rejected, and a shard that fails names its range.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +35,8 @@ from repro.search.robust import (
     WorstCaseObjective,
     search_grid,
 )
-from repro.tasks import RegularizedLeastSquaresTask, TaskChain
+from repro.search import search_space
+from repro.tasks import RegularizedLeastSquaresTask, TaskChain, TaskGraph, fork_join_graph
 
 
 def small_chain(n_tasks: int = 3) -> TaskChain:
@@ -38,6 +45,13 @@ def small_chain(n_tasks: int = 3) -> TaskChain:
         for i in range(n_tasks)
     ]
     return TaskChain(tasks, name="shard-test")
+
+
+def small_graph() -> TaskGraph:
+    """A 4-task fork-join DAG (``prep -> {b1, b2} -> join``)."""
+    return fork_join_graph(
+        branches=2, prepare_size=40, branch_size=70, reduce_size=50, iterations=3
+    )
 
 
 def condition_grid() -> ScenarioGrid:
@@ -79,7 +93,6 @@ class TestScenarioSharding:
     @pytest.mark.parametrize("scenario_shards", [2, 3])
     def test_bitwise_identical_to_serial_sweep(self, scenario_shards):
         executor = SimulatedExecutor(edge_cluster_platform())
-        chain = small_chain()
         grid = condition_grid()
         kwargs = dict(
             objectives=[
@@ -92,11 +105,12 @@ class TestScenarioSharding:
             batch_size=17,
             baseline_method="stream",
         )
-        serial = search_grid(executor, chain, grid, **kwargs)
-        sharded = search_grid(
-            executor, chain, grid, scenario_shards=scenario_shards, **kwargs
-        )
-        assert_identical_results(sharded, serial)
+        for workload in (small_chain(), small_graph()):
+            serial = search_grid(executor, workload, grid, **kwargs)
+            sharded = search_grid(
+                executor, workload, grid, scenario_shards=scenario_shards, **kwargs
+            )
+            assert_identical_results(sharded, serial)
 
     def test_fault_aware_sweep_shards_bitwise(self):
         executor = SimulatedExecutor(edge_cluster_platform())
@@ -143,3 +157,48 @@ class TestScenarioSharding:
         executor = SimulatedExecutor(edge_cluster_platform())
         with pytest.raises(ValueError, match="scenario_shards must be >= 1"):
             search_grid(executor, small_chain(2), condition_grid(), scenario_shards=0)
+        for n_workers in (0, -4):
+            with pytest.raises(ValueError, match="n_workers must be >= 1"):
+                search_grid(executor, small_chain(2), condition_grid(), n_workers=n_workers)
+            with pytest.raises(ValueError, match="n_workers must be >= 1"):
+                search_space(executor, small_chain(2), n_workers=n_workers)
+
+
+@dataclass(frozen=True)
+class Kaboom:
+    """A base objective that fails wherever it is evaluated."""
+
+    name: str = "kaboom"
+
+    def __call__(self, batch):
+        raise RuntimeError("kaboom")
+
+
+class TestShardFailures:
+    @pytest.mark.parametrize("mode", ["space-placements", "grid-placements", "grid-scenarios"])
+    def test_a_failed_shard_names_itself(self, mode):
+        executor = SimulatedExecutor(edge_cluster_platform())
+        chain = small_chain(2)
+        grid = condition_grid()  # 12 scenarios
+        robust = (WorstCaseObjective(base=Kaboom()),)
+        placements = rf"placements \[0, {len(executor.platform.aliases) ** 2 // 2}\)"
+        run, shard_range = {
+            "space-placements": (
+                partial(search_space, executor, chain, objectives=(Kaboom(),), n_workers=2),
+                placements,
+            ),
+            "grid-placements": (
+                partial(search_grid, executor, chain, grid, objectives=robust, n_workers=2),
+                placements,
+            ),
+            "grid-scenarios": (
+                partial(search_grid, executor, chain, grid, objectives=robust, scenario_shards=2),
+                r"scenarios \[0, 6\)",
+            ),
+        }[mode]
+        with pytest.raises(
+            RuntimeError, match=rf"shard 0 of 2 \({shard_range}\) failed: RuntimeError: kaboom"
+        ) as info:
+            run()
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert str(info.value.__cause__) == "kaboom"

@@ -43,7 +43,7 @@ from repro.search import (
     search_space,
 )
 from repro.selection import DecisionModel, dominates, pareto_front
-from repro.tasks import GemmLoopTask, TaskChain
+from repro.tasks import GemmLoopTask, TaskChain, fork_join_graph
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +520,16 @@ class TestStreamingMatchesMaterialized:
         platform = cpu_gpu_platform()
         executor = SimulatedExecutor(platform, noise=NoNoise(), seed=0)
         rng = np.random.default_rng(7)
-        chain = random_chain(rng, 7)  # 2**7 = 128 placements
-        serial = search_space(executor, chain, top_k=5, batch_size=13)
-        parallel = search_space(executor, chain, top_k=5, batch_size=13, n_workers=3)
-        assert np.array_equal(parallel.top["time"].indices, serial.top["time"].indices)
-        assert np.array_equal(parallel.top["time"].values, serial.top["time"].values)
-        assert np.array_equal(parallel.frontier.indices, serial.frontier.indices)
-        assert parallel.n_evaluated == serial.n_evaluated == 128
-        assert parallel.frontier.labels == serial.frontier.labels
+        # 2**7 = 128 chain placements; the 6-task fork-join graph has 2**6 = 64.
+        for workload, size in ((random_chain(rng, 7), 128), (fork_join_graph(branches=4), 64)):
+            serial = search_space(executor, workload, top_k=5, batch_size=13)
+            parallel = search_space(executor, workload, top_k=5, batch_size=13, n_workers=3)
+            assert np.array_equal(parallel.top["time"].indices, serial.top["time"].indices)
+            assert parallel.top["time"].values.tobytes() == serial.top["time"].values.tobytes()
+            assert np.array_equal(parallel.frontier.indices, serial.frontier.indices)
+            assert parallel.frontier.values.tobytes() == serial.frontier.values.tobytes()
+            assert parallel.n_evaluated == serial.n_evaluated == size
+            assert parallel.frontier.labels == serial.frontier.labels
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,23 @@ So every slice along the condition axis is bitwise identical to evaluating
 the scenario's derived platform on its own.  Placements that cross a link the
 platform lacks are rejected with the offending device pair named.
 
-Construction has two paths that agree bitwise.  The **fused** path (used by
-:func:`repro.devices.tables.build_tables` when given a base platform plus a
-:class:`~repro.scenarios.grid.ScenarioGrid` of vectorized axes) never derives
-per-scenario ``Platform`` objects: it broadcasts the base platform's
-parameters into :class:`~repro.devices.params.PlatformParams` arrays, applies
-each condition axis' ``scale_arrays`` hook once per (axis pattern, settings
-position) straight from the grid's value columns, and feeds the arrays to the
-same formula core.  The **materializing** path (``build_tables`` over
-pre-derived platforms) stays as the differential reference and the fallback
-for custom axes without the hook.
+Construction has one path.  Every grid table is computed from one
+:class:`~repro.devices.params.PlatformParams` bundle (``(scenario, ...)``
+arrays of every device and link float) through one gather
+(:func:`_fused_params`) and one formula core (:func:`_grid_value_arrays`).
+:func:`repro.devices.tables.build_tables` fills the bundle one of two ways:
 
-Fused builds carry a :class:`GridBuildContext`, which enables **delta
+* a base platform plus a :class:`~repro.scenarios.grid.ScenarioGrid`
+  broadcasts the base parameters and applies each condition axis once per
+  (axis pattern, settings position) straight from the grid's value columns --
+  through the axis' own ``scale_arrays`` hook when it has one, through the
+  generic row adapter (``apply`` on one row's floats) otherwise -- so no
+  per-scenario ``Platform`` is derived unless asked for;
+* a pre-derived platform sequence is stacked row by row
+  (:meth:`~repro.devices.params.PlatformParams.stack`), which checks that
+  every platform shares the first one's devices, host and links.
+
+Scenario builds carry a :class:`GridBuildContext`, which enables **delta
 rebuilds**: :meth:`GridCostTables.updated` / :meth:`~GridCostTables.updated_many`
 recompute only the replaced scenarios' condition slices and reuse every other
 row; with a :class:`~repro.cache.TableCache`, unchanged slices are
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -95,19 +100,12 @@ __all__ = [
 ]
 
 
-def _device_param(platforms: Sequence[Platform], aliases: Sequence[str], field: str) -> np.ndarray:
-    """Per-(scenario, device) array of one DeviceSpec parameter."""
-    return np.array(
-        [[getattr(platform.device(alias), field) for alias in aliases] for platform in platforms]
-    )
-
-
 class ScenarioPlatforms(SequenceABC):
-    """Lazily derived per-scenario platforms of a fused grid build.
+    """Lazily derived per-scenario platforms of a scenario grid build.
 
     A sequence facade: ``platforms[i]`` is
     ``apply_conditions(base, scenarios[i])``, derived on first access and
-    memoized.  The fused builder never needs the platform objects, so this
+    memoized.  The grid builder never needs the platform objects, so this
     keeps ``tables.platforms`` API-compatible (fault profiles, per-scenario
     ``table()`` views) without paying one ``apply_conditions`` per scenario
     up front.
@@ -212,7 +210,7 @@ class GridSlice:
 
 @dataclass(frozen=True)
 class GridBuildContext:
-    """The configuration a fused grid build was derived from.
+    """The configuration a scenario grid build was derived from.
 
     Carried on :class:`GridCostTables` so delta rebuilds can recompute single
     condition slices (and re-key the result) without the original call site.
@@ -285,8 +283,8 @@ class GridCostTables:
     """
 
     task_names: tuple[str, ...]
-    #: Per-scenario platforms: a tuple for materializing builds, a lazy
-    #: :class:`ScenarioPlatforms` view for fused builds.
+    #: Per-scenario platforms: a tuple for platform-sequence builds, a lazy
+    #: :class:`ScenarioPlatforms` view for scenario builds.
     platforms: Sequence[Platform]
     aliases: tuple[str, ...]
     #: Device-iteration order shared by every platform (the energy/cost fold
@@ -540,17 +538,6 @@ def _grid_build_context(
     )
 
 
-def _attach_build_context(
-    tables: GridCostTables,
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-) -> GridCostTables:
-    """Equip materializing-fallback tables with delta-rebuild provenance."""
-    return replace(tables, build_context=_grid_build_context(workload, platform, scenarios, devices))
-
-
 def _slice_keys(context: GridBuildContext, grid: "ScenarioGrid") -> list[tuple]:
     """Content-addressed cache keys of every row's condition slice."""
     prefix = context._slice_key_prefix
@@ -563,7 +550,7 @@ def _missing_link_topology(
     """Which candidate links are absent from the (shared) topology.
 
     Conditions never rewire a platform, so link presence is a property of the
-    base platform alone; this is the single source of truth for both builders.
+    base platform alone.
     """
     links = platform.links
 
@@ -606,80 +593,16 @@ class _GridParamArrays:
     missing: frozenset
 
 
-def _materialized_params(
-    platforms: Sequence[Platform],
-    aliases: Sequence[str],
-    host: str,
-    device_order: Sequence[str],
-) -> _GridParamArrays:
-    """Parameter gather of the materializing path: per-platform getattr loops."""
-    s, m = len(platforms), len(aliases)
-    missing, host_missing = _missing_link_topology(platforms[0], aliases, host)
-
-    def link_params(a: str, b: str) -> list[tuple[float, float, float]]:
-        return [
-            (link.bandwidth_gbs, link.latency_s, link.energy_per_byte_j)
-            for platform in platforms
-            for link in (platform.link(a, b),)
-        ]
-
-    host_bw = np.full((s, m), np.nan)
-    host_lat = np.full((s, m), np.nan)
-    host_epb = np.full((s, m), np.nan)
-    for d, alias in enumerate(aliases):
-        if alias == host or host_missing[d]:
-            continue
-        params = link_params(host, alias)
-        host_bw[:, d] = [p[0] for p in params]
-        host_lat[:, d] = [p[1] for p in params]
-        host_epb[:, d] = [p[2] for p in params]
-
-    pair_bw = np.full((s, m, m), np.nan)
-    pair_lat = np.full((s, m, m), np.nan)
-    pair_epb = np.full((s, m, m), np.nan)
-    for i, a in enumerate(aliases):
-        for j, b in enumerate(aliases):
-            if a == b or (a, b) in missing:
-                continue
-            params = link_params(a, b)
-            pair_bw[:, i, j] = [p[0] for p in params]
-            pair_lat[:, i, j] = [p[1] for p in params]
-            pair_epb[:, i, j] = [p[2] for p in params]
-
-    extra = [alias for alias in device_order if alias not in aliases]
-    extra_idle_power = np.array(
-        [[platform.device(alias).power_idle_w for alias in extra] for platform in platforms]
-    ).reshape(s, len(extra))
-
-    return _GridParamArrays(
-        peak=_device_param(platforms, aliases, "peak_gflops"),
-        half_saturation=_device_param(platforms, aliases, "half_saturation_flops"),
-        mem_bw=_device_param(platforms, aliases, "memory_bandwidth_gbs"),
-        launch=_device_param(platforms, aliases, "kernel_launch_overhead_s"),
-        startup=_device_param(platforms, aliases, "task_startup_overhead_s"),
-        power_active=_device_param(platforms, aliases, "power_active_w"),
-        power_idle=_device_param(platforms, aliases, "power_idle_w"),
-        cost_per_hour=_device_param(platforms, aliases, "cost_per_hour"),
-        host_bw=host_bw,
-        host_lat=host_lat,
-        host_epb=host_epb,
-        host_missing=host_missing,
-        pair_bw=pair_bw,
-        pair_lat=pair_lat,
-        pair_epb=pair_epb,
-        extra_idle_power=extra_idle_power,
-        missing=missing,
-    )
-
-
 def _fused_params(
     params: PlatformParams, aliases: Sequence[str], host: str
 ) -> _GridParamArrays:
-    """Parameter gather of the fused path: column slices of the array bundle.
+    """The one parameter gather: column slices of the array bundle.
 
     The arrays hold exactly the floats the scalar axis math would have put on
     derived ``DeviceSpec``/``LinkSpec`` objects (elementwise float64 ops round
-    identically), so the result is bitwise the materializing gather.
+    identically), so the result is bitwise a per-platform ``getattr`` gather
+    over the derived platforms (the test suite keeps that gather as its
+    oracle).
     """
     s, m = params.n_scenarios, len(aliases)
     missing, host_missing = _missing_link_topology(params.base, aliases, host)
@@ -751,23 +674,29 @@ def _apply_grid_conditions(
     One ``scale_arrays`` call per (pattern, position): settings positions are
     walked in order, so each row's axes apply in its own settings order, and
     the rows of different patterns are disjoint, so the arithmetic per row is
-    exactly the scalar sequence of apply() calls.
+    exactly the scalar sequence of apply() calls.  An axis that
+    :func:`~repro.scenarios.conditions.vectorized_axis` rejects runs through
+    the base class' generic row adapter instead of its own hook.
     """
+    from ..scenarios.conditions import ConditionAxis, vectorized_axis
+
     index = grid.pattern_index if rows is None else grid.pattern_index[rows]
     values = grid.values if rows is None else grid.values[rows]
     members = [np.flatnonzero(index == p) for p in range(len(grid.patterns))]
     for step in range(values.shape[1]):
         for pattern, pattern_rows in zip(grid.patterns, members):
             if step < len(pattern) and pattern_rows.size:
-                pattern[step].scale_arrays(params, pattern_rows, values[pattern_rows, step])
+                axis = pattern[step]
+                scale = type(axis).scale_arrays if vectorized_axis(axis) else ConditionAxis.scale_arrays
+                scale(axis, params, pattern_rows, values[pattern_rows, step])
 
 
 def _grid_value_arrays(costs: Sequence, pa: _GridParamArrays, nonhost: np.ndarray) -> dict:
     """The scenario-dependent grid tables from gathered parameter arrays.
 
-    Shared formula core of the materializing and fused builders *and* of delta
-    rebuilds.  Every operation is elementwise along the scenario axis, so
-    computing any scenario subset reproduces the full build's rows bitwise.
+    The formula core of every grid build and of delta rebuilds.  Every
+    operation is elementwise along the scenario axis, so computing any
+    scenario subset reproduces the full build's rows bitwise.
     """
     s, m = pa.peak.shape
     k = len(costs)
@@ -854,134 +783,60 @@ def _static_value_arrays(costs: Sequence, nonhost: np.ndarray, m: int) -> dict:
 
 
 def _build_grid_tables(
-    chain: TaskChain | TaskGraph,
-    platforms: Sequence[Platform],
+    workload: TaskChain | TaskGraph,
+    platform: "Platform | Sequence[Platform]",
     devices: Sequence[str] | None = None,
+    *,
+    scenarios: "ScenarioGrid | None" = None,
+    slice_cache: "TableCache | None" = None,
 ) -> GridCostTables:
-    """The materializing grid builder (``build_tables`` over a platform sequence).
+    """The grid builder behind :func:`~repro.devices.tables.build_tables`.
 
-    Every platform must share the base platform's *shape*: the same device
-    aliases (in the same order), the same host and the same link topology --
-    conditions re-parameterize a platform, they do not rewire it.  The tables
-    are computed vectorized across the scenario axis through the
-    :mod:`~repro.devices.costmodel` formulas, so each scenario's slice is
-    bitwise identical to the scalar per-platform build.  A
-    :class:`~repro.tasks.graph.TaskGraph` workload yields
-    :class:`GraphGridCostTables` (same values over the topologically ordered
-    tasks, plus the dependency structure).
+    ``platform`` is either a sequence of scenario platforms, stacked one per
+    row (every platform must share the first one's devices, host and links
+    -- conditions re-parameterize a platform, they do not rewire it), or a
+    base platform plus ``scenarios``.  A scenario build carries a
+    :class:`GridBuildContext` for delta rebuilds, derives its platforms
+    lazily (:class:`ScenarioPlatforms`) and, with a ``slice_cache``, serves
+    previously built scenario slices by content fingerprint instead of
+    recomputing them (see :meth:`GridCostTables.cache_stats`).
 
-    This path gathers parameters from materialized ``Platform`` objects and
-    serves as the differential reference (and custom-axis fallback) for the
-    fused builder, which shares its formula core (:func:`_grid_value_arrays`).
+    Either way each scenario's slice is bitwise identical to the scalar
+    per-platform build, and a :class:`~repro.tasks.graph.TaskGraph` workload
+    yields :class:`GraphGridCostTables` (the same values over the
+    topologically ordered tasks, plus the dependency structure).
     """
-    if isinstance(chain, TaskGraph):
-        base = _build_grid_tables(
-            TaskChain(chain.tasks, name=chain.name), platforms, devices
-        )
-        values = {f.name: getattr(base, f.name) for f in fields(GridCostTables)}
-        return GraphGridCostTables(**values, pred_positions=chain.predecessor_positions)
-    platforms = tuple(platforms)
-    if not platforms:
-        raise ValueError("at least one platform is required")
-    base = platforms[0]
-    device_order = tuple(base.devices)
-    link_keys = set(base.links)
-    for platform in platforms[1:]:
-        if tuple(platform.devices) != device_order:
-            raise ValueError(
-                f"platform {platform.name!r} has devices {list(platform.devices)}, "
-                f"expected {list(device_order)} -- scenario platforms must share "
-                f"the base platform's device set"
-            )
-        if platform.host != base.host:
-            raise ValueError(
-                f"platform {platform.name!r} has host {platform.host!r}, expected {base.host!r}"
-            )
-        if set(platform.links) != link_keys:
-            raise ValueError(
-                f"platform {platform.name!r} has links {sorted(platform.links)}, "
-                f"expected {sorted(link_keys)} -- conditions must not rewire the topology"
-            )
-
+    if scenarios is None:
+        platforms = tuple(platform)
+        params = PlatformParams.stack(platforms)
+        base, context = platforms[0], None
+    else:
+        base, platforms = platform, ScenarioPlatforms(platform, scenarios)
+        context = _grid_build_context(workload, base, scenarios, devices)
     aliases = resolve_aliases(base, devices)
-    host = base.host
-    costs = chain.costs()
-    nonhost = np.array([alias != host for alias in aliases])
-
-    pa = _materialized_params(platforms, aliases, host, device_order)
-    values = _grid_value_arrays(costs, pa, nonhost)
-    static = _static_value_arrays(costs, nonhost, len(aliases))
-
-    return GridCostTables(
-        task_names=tuple(chain.task_names),
+    nonhost = np.array([alias != base.host for alias in aliases])
+    if context is None:
+        costs = workload.costs()
+        values = _grid_value_arrays(costs, _fused_params(params, aliases, base.host), nonhost)
+        stats = GridSliceStats(served=0, built=len(platforms))
+    else:
+        costs = context.task_costs
+        values, stats = _slice_values(context, scenarios, slice_cache)
+    tables = dict(
+        task_names=tuple(workload.task_names),
         platforms=platforms,
         aliases=aliases,
-        device_order=device_order,
-        missing_links=pa.missing,
-        workload=chain.name,
-        slice_stats=GridSliceStats(served=0, built=len(platforms)),
-        **values,
-        **static,
-    )
-
-
-def _build_grid_tables_fused(
-    workload: TaskChain | TaskGraph,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None = None,
-    slice_cache: "TableCache | None" = None,
-) -> "GridCostTables | None":
-    """The fused array-space grid builder (base platform + scenario grid).
-
-    Returns ``None`` when any scenario pins an axis without the vectorized
-    ``scale_arrays`` hook -- the caller falls back to the materializing path.
-    With a ``slice_cache``, previously built scenario slices are served by
-    content fingerprint instead of recomputed (see
-    :meth:`GridCostTables.cache_stats`).
-    """
-    if not _all_vectorized(scenarios):
-        return None
-    context = _grid_build_context(workload, platform, scenarios, devices)
-    if isinstance(workload, TaskGraph):
-        base = _fused_grid_tables(
-            TaskChain(workload.tasks, name=workload.name), platform, scenarios, devices, slice_cache, context
-        )
-        values = {f.name: getattr(base, f.name) for f in fields(GridCostTables)}
-        return GraphGridCostTables(**values, pred_positions=workload.predecessor_positions)
-    return _fused_grid_tables(workload, platform, scenarios, devices, slice_cache, context)
-
-
-def _fused_grid_tables(
-    chain: TaskChain,
-    platform: Platform,
-    scenarios: "ScenarioGrid",
-    devices: Sequence[str] | None,
-    slice_cache: "TableCache | None",
-    context: GridBuildContext,
-) -> GridCostTables:
-    aliases = resolve_aliases(platform, devices)
-    nonhost = np.array([alias != platform.host for alias in aliases])
-    values, stats = _slice_values(context, scenarios, slice_cache)
-    static = _static_value_arrays(context.task_costs, nonhost, len(aliases))
-    return GridCostTables(
-        task_names=tuple(chain.task_names),
-        platforms=ScenarioPlatforms(platform, scenarios),
-        aliases=aliases,
-        device_order=tuple(platform.devices),
-        missing_links=_missing_link_topology(platform, aliases, platform.host)[0],
-        workload=chain.name,
+        device_order=tuple(base.devices),
+        missing_links=_missing_link_topology(base, aliases, base.host)[0],
+        workload=workload.name,
         build_context=context,
         slice_stats=stats,
         **values,
-        **static,
+        **_static_value_arrays(costs, nonhost, len(aliases)),
     )
-
-
-def _all_vectorized(grid: "ScenarioGrid") -> bool:
-    from ..scenarios.conditions import vectorized_axis
-
-    return all(vectorized_axis(axis) for pattern in grid.patterns for axis in pattern)
+    if isinstance(workload, TaskGraph):
+        return GraphGridCostTables(**tables, pred_positions=workload.predecessor_positions)
+    return GridCostTables(**tables)
 
 
 def _slice_values(
@@ -1039,25 +894,17 @@ def _condition_values(
 ) -> dict:
     """Compute the condition slices of ``grid``'s rows (or of some ``rows``).
 
-    Uses the fused array path when every axis is vectorized, the materializing
-    apply_conditions path otherwise; either way the formula core is elementwise
-    per scenario row, so the slices match a full rebuild bitwise.
+    The formula core is elementwise per scenario row, so the slices match a
+    full rebuild bitwise.
     """
-    from ..scenarios.conditions import apply_conditions
-
     platform = context.platform
     aliases = resolve_aliases(platform, context.devices)
-    host = platform.host
-    nonhost = np.array([alias != host for alias in aliases])
-    if _all_vectorized(grid):
-        params = PlatformParams.gather(platform, len(grid) if rows is None else len(rows))
-        _apply_grid_conditions(params, grid, rows)
-        pa = _fused_params(params, aliases, host)
-    else:
-        entries = grid if rows is None else [grid[i] for i in rows]
-        platforms = tuple(apply_conditions(platform, scenario) for scenario in entries)
-        pa = _materialized_params(platforms, aliases, host, tuple(platform.devices))
-    return _grid_value_arrays(context.task_costs, pa, nonhost)
+    nonhost = np.array([alias != platform.host for alias in aliases])
+    params = PlatformParams.gather(platform, len(grid) if rows is None else len(rows))
+    _apply_grid_conditions(params, grid, rows)
+    return _grid_value_arrays(
+        context.task_costs, _fused_params(params, aliases, platform.host), nonhost
+    )
 
 
 @dataclass(frozen=True)

@@ -125,26 +125,30 @@ def build_tables(
         A :class:`~repro.tasks.chain.TaskChain` or
         :class:`~repro.tasks.graph.TaskGraph`.
     platform:
-        One platform, or a sequence of scenario platforms (grid tables).
+        One platform, or a sequence of scenario platforms (grid tables).  A
+        sequence is stacked one platform per parameter row; every platform
+        must share the first one's devices, host and links.
     devices:
         Candidate device aliases; defaults to every platform device.
     scenarios:
         A :class:`~repro.scenarios.grid.ScenarioGrid` (or scenario sequence)
         to derive grid tables from ``platform``; mutually exclusive with
-        passing a platform sequence.  This is the **fused** grid path: when
-        every pinned axis implements the vectorized
-        :meth:`~repro.scenarios.conditions.ConditionAxis.scale_arrays` hook,
-        the tables are built in array space without deriving per-scenario
-        platforms (bitwise identical to the materializing build), and carry a
-        build context enabling :meth:`~repro.devices.grid.GridCostTables.updated`
-        delta rebuilds.
+        passing a platform sequence.  The grid is built in array space
+        without deriving per-scenario platforms: each condition axis
+        transforms the base platform's parameter arrays through its
+        :meth:`~repro.scenarios.conditions.ConditionAxis.scale_arrays` hook
+        (axes without one run their ``apply`` row by row through the base
+        class' adapter), bitwise identical to stacking the derived
+        platforms.  The tables carry a build context enabling
+        :meth:`~repro.devices.grid.GridCostTables.updated` delta rebuilds.
     faults, retry, timeout:
-        Fault-aware evaluation: passing ``retry`` selects the fault table
-        families; ``faults``/``timeout`` without ``retry`` is an error
-        (mirroring the executor).
+        Fault-aware evaluation: passing ``retry`` layers survival tables over
+        the fault-free build (which keeps its own fault-free fingerprint);
+        ``faults``/``timeout`` without ``retry`` is an error (mirroring the
+        executor).
     slice_cache:
         Optional :class:`~repro.cache.TableCache` for per-scenario condition
-        slices of fused grid builds; slices already cached (by content
+        slices of ``scenarios=`` builds; slices already cached (by content
         fingerprint) are served instead of recomputed.
 
     The returned object satisfies :class:`CostTables`; its ``fingerprint``
@@ -175,43 +179,17 @@ def build_tables(
     )
 
     if retry is not None:
-        from ..faults.tables import _build_fault_grid_tables, _build_fault_tables
+        from ..faults.tables import _check_policies
 
-        if grid is not None:
-            tables = _build_fault_grid_tables(
-                workload,
-                None,
-                devices,
-                retry=retry,
-                faults=faults,
-                timeout=timeout,
-                platform=platform,
-                scenarios=grid,
-                slice_cache=slice_cache,
-            )
-        elif platforms is not None:
-            tables = _build_fault_grid_tables(
-                workload, platforms, devices, retry=retry, faults=faults, timeout=timeout
-            )
-        else:
-            tables = _build_fault_tables(
-                workload, platform, devices, retry=retry, faults=faults, timeout=timeout
-            )
-    elif grid is not None:
-        from .grid import _attach_build_context, _build_grid_tables, _build_grid_tables_fused
+        _check_policies(retry, timeout)
 
-        tables = _build_grid_tables_fused(
-            workload, platform, grid, devices, slice_cache=slice_cache
-        )
-        if tables is None:
-            # Some axis lacks the vectorized hook: materialize the per-scenario
-            # platforms, but keep the build context so delta rebuilds work.
-            tables = _build_grid_tables(workload, grid.platforms(platform), devices)
-            tables = _attach_build_context(tables, workload, platform, grid, devices)
-    elif platforms is not None:
+    stacked = grid is not None or platforms is not None
+    if stacked:
         from .grid import _build_grid_tables
 
-        tables = _build_grid_tables(workload, platforms, devices)
+        tables = _build_grid_tables(
+            workload, key_platform, devices, scenarios=grid, slice_cache=slice_cache
+        )
     else:
         from ..tasks.graph import TaskGraph
         from .batch import ChainCostTables, GraphCostTables
@@ -220,5 +198,20 @@ def build_tables(
             tables = GraphCostTables.build(workload, platform, devices)
         else:
             tables = ChainCostTables.build(workload, platform, devices)
+
+    if retry is not None:
+        # Survival tables layer over the fault-free build, which keeps its
+        # own fault-free fingerprint.
+        from ..faults.tables import _build_fault_grid_tables, _build_fault_tables
+
+        base_key = table_key(workload, key_platform, devices=devices, scenarios=grid)
+        layer = _build_fault_grid_tables if stacked else _build_fault_tables
+        tables = layer(
+            workload,
+            replace(tables, fingerprint=base_key),
+            retry=retry,
+            faults=faults,
+            timeout=timeout,
+        )
 
     return replace(tables, fingerprint=key)

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..devices.batch import ChainCostTables, GraphCostTables
 from ..devices.grid import GraphGridCostTables, GridCostTables
-from ..devices.tables import build_tables
 from .models import FaultProfile
 from .retry import RetryPolicy, TimeoutPolicy
 
@@ -171,17 +170,18 @@ def _check_policies(retry: RetryPolicy, timeout: TimeoutPolicy | None) -> Timeou
 
 def _build_fault_tables(
     workload: "TaskChain | TaskGraph",
-    platform: "Platform",
-    devices: Sequence[str] | None = None,
+    base: ChainCostTables,
     *,
     retry: RetryPolicy,
     faults: FaultProfile | None = None,
     timeout: TimeoutPolicy | None = None,
 ) -> FaultChainCostTables:
-    """The fault-table builder behind ``build_tables(..., retry=...)``."""
+    """Survival tables over fault-free ``base`` tables of ``workload``.
+
+    The layer ``build_tables(..., retry=...)`` puts on its one-platform build.
+    """
     timeout = _check_policies(retry, timeout)
-    profile = resolve_fault_profile(platform, faults)
-    base = build_tables(workload, platform, devices=devices)
+    profile = resolve_fault_profile(base.platform, faults)
     node, edge, first_edge = _survival_tables(base, profile, workload.costs(), base.busy)
     return FaultChainCostTables(
         base=base,
@@ -267,30 +267,19 @@ class FaultGridCostTables:
 
 def _build_fault_grid_tables(
     workload: "TaskChain | TaskGraph",
-    platforms: "Sequence[Platform] | None",
-    devices: Sequence[str] | None = None,
+    base: GridCostTables,
     *,
     retry: RetryPolicy,
     faults: FaultProfile | None = None,
     timeout: TimeoutPolicy | None = None,
-    platform: "Platform | None" = None,
-    scenarios=None,
-    slice_cache=None,
 ) -> FaultGridCostTables:
-    """The fault-grid builder behind ``build_tables(..., retry=...)`` over scenarios.
+    """Per-scenario survival tables over fault-free grid ``base`` tables.
 
-    Given ``platform`` + ``scenarios`` (the fused form), the base grid routes
-    through the array-space builder and per-scenario platforms are derived
-    lazily, only for fault-profile resolution; otherwise ``platforms`` is the
-    classic pre-derived sequence.
+    The layer ``build_tables(..., retry=...)`` puts on its grid build.  Each
+    scenario's profile is resolved from its platform in ``base.platforms``
+    (for a scenario build, derived lazily, only here).
     """
     timeout = _check_policies(retry, timeout)
-    if scenarios is not None:
-        base = build_tables(
-            workload, platform, devices=devices, scenarios=scenarios, slice_cache=slice_cache
-        )
-    else:
-        base = build_tables(workload, platforms, devices=devices)
     profiles = tuple(resolve_fault_profile(platform, faults) for platform in base.platforms)
     costs = workload.costs()
     s = base.n_scenarios

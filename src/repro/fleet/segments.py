@@ -82,7 +82,8 @@ class NormalAxis(AxisSampler):
     """Axis values drawn from ``Normal(mean, std)``, optionally clipped.
 
     ``low`` / ``high`` clip the draws into the axis domain (e.g. a load
-    factor must stay >= 1); ``None`` leaves the corresponding side open.
+    factor must stay >= 1); ``None`` leaves the corresponding side open, and
+    a bound that is given must be finite.
     """
 
     mean: float = 0.0
@@ -96,6 +97,12 @@ class NormalAxis(AxisSampler):
             raise ValueError(f"normal parameters must be finite, got mean={self.mean!r} std={self.std!r}")
         if self.std < 0:
             raise ValueError(f"normal std must be non-negative, got {self.std}")
+        # None is the way to leave a side open; inf would be a second spelling
+        # and NaN silently disables the clip.
+        for side in ("low", "high"):
+            bound = getattr(self, side)
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"NormalAxis.{side} must be finite or None, got {bound!r}")
         if self.low is not None and self.high is not None and self.low > self.high:
             raise ValueError(f"clip bounds must satisfy low <= high, got [{self.low}, {self.high}]")
 
@@ -115,8 +122,9 @@ class NormalAxis(AxisSampler):
 class ChoiceAxis(AxisSampler):
     """Axis values drawn from a finite set, optionally with probabilities.
 
-    ``probs=None`` means uniform over ``values``; otherwise one finite
-    non-negative probability per value (normalised internally).
+    ``values`` must be finite.  ``probs=None`` means uniform over
+    ``values``; otherwise one finite non-negative probability per value
+    (normalised internally).
     """
 
     values: tuple[float, ...] = ()
@@ -127,6 +135,9 @@ class ChoiceAxis(AxisSampler):
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("ChoiceAxis needs at least one value")
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"ChoiceAxis.values[{i}] must be finite, got {v!r}")
         object.__setattr__(self, "values", values)
         if self.probs is not None:
             probs = tuple(float(p) for p in self.probs)

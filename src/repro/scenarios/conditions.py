@@ -11,14 +11,16 @@ scenario's platform through the :meth:`Platform.with_devices` /
 
 Axes carry **two equivalent transforms**.  :meth:`ConditionAxis.apply` is the
 scalar reference: ``(platform, value) -> derived platform``.
-:meth:`ConditionAxis.scale_arrays` is the vectorized form the fused grid
-builder uses: it mutates a :class:`~repro.devices.params.PlatformParams`
-bundle in place, scaling whole ``(scenario, device)`` / ``(scenario, link)``
-parameter arrays at once.  Elementwise float64 array arithmetic rounds exactly
-like the scalar arithmetic in ``apply``, so the two paths agree **bitwise** --
-the contract the differential tests pin.  Custom axes may implement ``apply``
-only; grid builds containing them transparently fall back to the
-materializing path (see :func:`vectorized_axis`).
+:meth:`ConditionAxis.scale_arrays` is the array form the grid builder uses:
+it mutates a :class:`~repro.devices.params.PlatformParams` bundle in place,
+scaling whole ``(scenario, device)`` / ``(scenario, link)`` parameter arrays
+at once.  Elementwise float64 array arithmetic rounds exactly like the scalar
+arithmetic in ``apply``, so the two paths agree **bitwise** -- the contract
+the differential tests pin.  Custom axes may implement ``apply`` only: the
+base class' ``scale_arrays`` is a generic adapter that runs ``apply`` on each
+row's parameters, so their scenarios build in the same grid (with the same
+slice cache and delta rebuilds) as every other axis, one row at a time (see
+:func:`vectorized_axis`).
 
 All axes are value-type dataclasses (picklable, hashable) so scenarios can
 cross process boundaries in sharded sweeps, and applying an axis at its
@@ -74,16 +76,18 @@ class ConditionAxis:
     Subclasses define :meth:`apply`, a pure function from ``(platform, value)``
     to a derived platform, and expose a ``name`` used in scenario labels.
 
-    Subclasses that also implement :meth:`scale_arrays` (on the **same class**
-    that defines their ``apply``, so the two transforms evolve together) are
-    eligible for the fused grid build: instead of deriving one platform per
-    scenario, the builder gathers the base platform's parameters once and
-    calls ``scale_arrays`` once per (axis pattern, settings position) of the
-    columnar grid, with the rows of that pattern and their values at that
-    position.  The hook must perform the *same* elementwise float arithmetic
-    as ``apply`` (and raise the same validation errors), which makes the
-    fused tables bitwise identical to the materializing ones.  Axes are
-    hashable value types: grids deduplicate patterns by equality.
+    The grid builder never derives one platform per scenario: it gathers
+    the base platform's parameters once and calls ``scale_arrays`` once per
+    (axis pattern, settings position) of the columnar grid, with the rows of
+    that pattern and their values at that position.  Subclasses that
+    implement their own :meth:`scale_arrays` (on the **same class** that
+    defines their ``apply``, so the two transforms evolve together) do the
+    whole column in array arithmetic; the hook must perform the *same*
+    elementwise float arithmetic as ``apply`` (and raise the same validation
+    errors), which makes the tables bitwise identical to stacking the
+    derived platforms.  Every other axis runs through the base class'
+    adapter, which calls ``apply`` row by row.  Axes are hashable value
+    types: grids deduplicate patterns by equality.
     """
 
     name: str = "condition"
@@ -94,20 +98,24 @@ class ConditionAxis:
     def scale_arrays(
         self, params: "PlatformParams", rows: np.ndarray, values: np.ndarray
     ) -> None:
-        """Vectorized form of :meth:`apply` over parameter arrays.
+        """Array form of :meth:`apply` over parameter arrays.
 
         ``rows`` are the scenario-row indices of one axis pattern that pins
         this axis at one settings position, and ``values`` (same length,
-        float64) their values there; implementations
-        mutate ``params.device`` / ``params.link`` arrays in place at those
-        rows.  The base class raises: axes without the hook route grid builds
-        through the materializing fallback.
+        float64) their values there; implementations mutate
+        ``params.device`` / ``params.link`` arrays in place at those rows.
+
+        This base implementation is the generic adapter: for each row it
+        calls ``apply`` on :meth:`PlatformParams.platform
+        <repro.devices.params.PlatformParams.platform>` -- the row's current
+        floats, carried by the base platform's non-float fields (spec names,
+        host, platform name, fault profile) -- and writes the result back
+        with :meth:`~repro.devices.params.PlatformParams.set_row`, which
+        rejects a platform whose devices, host or links differ from the
+        base's.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the vectorized "
-            "scale_arrays hook; grid builds containing this axis fall back "
-            "to the materializing path"
-        )
+        for row, value in zip(rows.tolist(), values.tolist()):
+            params.set_row(row, self.apply(params.platform(row), value))
 
     def describe(self, value: float) -> str:
         """Human-readable ``axis=value`` fragment for generated scenario names."""
@@ -115,13 +123,14 @@ class ConditionAxis:
 
 
 def vectorized_axis(axis: ConditionAxis) -> bool:
-    """Whether the fused grid builder may use ``axis.scale_arrays``.
+    """Whether the grid builder may use the axis' own ``scale_arrays``.
 
-    True when the axis implements :meth:`~ConditionAxis.scale_arrays` and the
+    True when the axis overrides :meth:`~ConditionAxis.scale_arrays` and the
     defining class is the same one that defines its ``apply`` -- a subclass
-    that overrides ``apply`` without re-implementing ``scale_arrays`` (or vice
-    versa) would break the bitwise scalar==vectorized contract, so it falls
-    back to the materializing path.
+    that overrides ``apply`` without re-implementing ``scale_arrays`` (or
+    vice versa) would break the bitwise scalar==vectorized contract.  When
+    False, the builder calls the base ``ConditionAxis.scale_arrays`` adapter
+    instead, which runs the axis' ``apply`` row by row.
     """
     cls = type(axis)
     scale_owner = next((k for k in cls.__mro__ if "scale_arrays" in vars(k)), None)

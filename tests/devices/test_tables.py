@@ -116,7 +116,9 @@ class TestDispatchBitwise:
         retry = RetryPolicy(max_attempts=2)
         faults = FaultProfile(device_failure=DeviceFailure(rate=0.05))
         unified = build_tables(chain, platform, faults=faults, retry=retry)
-        direct = _build_fault_tables(chain, platform, faults=faults, retry=retry)
+        direct = _build_fault_tables(
+            chain, ChainCostTables.build(chain, platform), faults=faults, retry=retry
+        )
         assert isinstance(unified, FaultChainCostTables)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)
@@ -130,7 +132,9 @@ class TestDispatchBitwise:
         unified = build_tables(
             chain, platform, scenarios=scenario_grid(), faults=faults, retry=retry
         )
-        direct = _build_fault_grid_tables(chain, platforms, faults=faults, retry=retry)
+        direct = _build_fault_grid_tables(
+            chain, _build_grid_tables(chain, platforms), faults=faults, retry=retry
+        )
         assert isinstance(unified, FaultGridCostTables)
         assert_results_bitwise_equal(unified.execute(placements), direct.execute(placements))
         assert np.array_equal(unified.node_survival, direct.node_survival)

@@ -6,13 +6,21 @@ duplicated across ``tests/devices/test_batch.py``, ``test_costmodel.py`` and
 plain module -- not ``conftest.py`` -- so hypothesis tests can call them with
 drawn seeds (function-scoped fixtures and ``@given`` do not mix);
 ``tests/conftest.py`` re-exports them as factory fixtures for ordinary tests.
+
+It also keeps :func:`materialized_params`, the per-platform ``getattr``
+parameter gather the grid builder used before every grid was built from
+``PlatformParams`` arrays; the differential tests pin the one gather the
+builder has left against it.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.devices import DeviceSpec, LinkSpec, Platform
+from repro.devices.grid import _GridParamArrays, _missing_link_topology
 from repro.tasks import GemmLoopTask, TaskChain, TaskGraph
 
 
@@ -121,3 +129,76 @@ MISSING_LINK_CASES = [
 
 #: Placements that avoid the A <-> B gap on both diamond workloads.
 MISSING_LINK_SAFE = ["DDDD", "DADA", "ADDA", "DBBD"]
+
+
+def device_param(platforms: Sequence[Platform], aliases: Sequence[str], field: str) -> np.ndarray:
+    """Per-(scenario, device) array of one DeviceSpec parameter."""
+    return np.array(
+        [[getattr(platform.device(alias), field) for alias in aliases] for platform in platforms]
+    )
+
+
+def materialized_params(
+    platforms: Sequence[Platform],
+    aliases: Sequence[str],
+    host: str,
+    device_order: Sequence[str],
+) -> _GridParamArrays:
+    """Oracle parameter gather: per-platform ``getattr`` loops over derived platforms."""
+    s, m = len(platforms), len(aliases)
+    missing, host_missing = _missing_link_topology(platforms[0], aliases, host)
+
+    def link_params(a: str, b: str) -> list[tuple[float, float, float]]:
+        return [
+            (link.bandwidth_gbs, link.latency_s, link.energy_per_byte_j)
+            for platform in platforms
+            for link in (platform.link(a, b),)
+        ]
+
+    host_bw = np.full((s, m), np.nan)
+    host_lat = np.full((s, m), np.nan)
+    host_epb = np.full((s, m), np.nan)
+    for d, alias in enumerate(aliases):
+        if alias == host or host_missing[d]:
+            continue
+        params = link_params(host, alias)
+        host_bw[:, d] = [p[0] for p in params]
+        host_lat[:, d] = [p[1] for p in params]
+        host_epb[:, d] = [p[2] for p in params]
+
+    pair_bw = np.full((s, m, m), np.nan)
+    pair_lat = np.full((s, m, m), np.nan)
+    pair_epb = np.full((s, m, m), np.nan)
+    for i, a in enumerate(aliases):
+        for j, b in enumerate(aliases):
+            if a == b or (a, b) in missing:
+                continue
+            params = link_params(a, b)
+            pair_bw[:, i, j] = [p[0] for p in params]
+            pair_lat[:, i, j] = [p[1] for p in params]
+            pair_epb[:, i, j] = [p[2] for p in params]
+
+    extra = [alias for alias in device_order if alias not in aliases]
+    extra_idle_power = np.array(
+        [[platform.device(alias).power_idle_w for alias in extra] for platform in platforms]
+    ).reshape(s, len(extra))
+
+    return _GridParamArrays(
+        peak=device_param(platforms, aliases, "peak_gflops"),
+        half_saturation=device_param(platforms, aliases, "half_saturation_flops"),
+        mem_bw=device_param(platforms, aliases, "memory_bandwidth_gbs"),
+        launch=device_param(platforms, aliases, "kernel_launch_overhead_s"),
+        startup=device_param(platforms, aliases, "task_startup_overhead_s"),
+        power_active=device_param(platforms, aliases, "power_active_w"),
+        power_idle=device_param(platforms, aliases, "power_idle_w"),
+        cost_per_hour=device_param(platforms, aliases, "cost_per_hour"),
+        host_bw=host_bw,
+        host_lat=host_lat,
+        host_epb=host_epb,
+        host_missing=host_missing,
+        pair_bw=pair_bw,
+        pair_lat=pair_lat,
+        pair_epb=pair_epb,
+        extra_idle_power=extra_idle_power,
+        missing=missing,
+    )

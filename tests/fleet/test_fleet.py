@@ -78,6 +78,11 @@ class TestSamplerValidation:
             NormalAxis(LinkLatencyScale(), mean=1.0, std=-0.5)
         with pytest.raises(ValueError, match="low <= high"):
             NormalAxis(LinkLatencyScale(), mean=1.0, std=1.0, low=3.0, high=2.0)
+        for side in ("low", "high"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=rf"NormalAxis\.{side} must be finite or None"):
+                    NormalAxis(LinkLatencyScale(), mean=1.0, **{side: bad})
+        NormalAxis(LinkLatencyScale(), mean=1.0, low=None, high=None)  # open on both sides
 
     def test_normal_clipping_projects_into_bounds(self):
         sampler = NormalAxis(DeviceLoadFactor(devices=("D",)), mean=3.0, std=5.0, low=1.0, high=4.0)
@@ -93,6 +98,10 @@ class TestSamplerValidation:
             ChoiceAxis(LinkBandwidthScale(), values=(0.5, 1.0), probs=(1.0, float("nan")))
         with pytest.raises(ValueError, match="positive"):
             ChoiceAxis(LinkBandwidthScale(), values=(0.5, 1.0), probs=(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"ChoiceAxis\.values\[0\] must be finite, got nan"):
+            ChoiceAxis(LinkBandwidthScale(), values=(float("nan"), 1.0))
+        with pytest.raises(ValueError, match=r"ChoiceAxis\.values\[1\] must be finite, got inf"):
+            ChoiceAxis(LinkBandwidthScale(), values=(0.5, float("inf")))
 
     def test_choice_draws_come_from_the_menu(self):
         sampler = ChoiceAxis(LinkBandwidthScale(), values=(0.25, 0.5, 1.0), probs=(1.0, 1.0, 2.0))

@@ -5,8 +5,12 @@ The central claims of the fused engine:
 * ``build_tables(chain, platform, scenarios=grid)`` -- which composes each
   axis's vectorized ``scale_arrays`` onto the base platform's parameter
   arrays, never deriving per-scenario ``Platform`` objects -- is **bitwise**
-  identical to the materializing path (derive every platform, stack scalar
-  builds), for every shipped axis, on chains and graphs alike;
+  identical to the platform-sequence build (derive every platform, stack
+  them), for every shipped axis, on chains and graphs alike;
+* custom axes without their own hook run ``apply`` row by row through the
+  base class' adapter inside the same build, bitwise identical too, and the
+  one parameter gather both entry points share is pinned against the
+  per-platform ``getattr`` oracle kept in ``tests/factories.py``;
 * ``updated(index, scenario)`` / ``updated_many`` recompute only the affected
   condition slices yet are **bitwise** identical to a full rebuild of the
   modified grid, fingerprint included;
@@ -34,8 +38,9 @@ from repro.devices import (
     lte,
     wifi_ac,
 )
-from repro.devices.grid import GridCostTables, GridSliceStats
-from repro.devices.tables import build_tables
+from repro.devices.grid import GridCostTables, GridSliceStats, ScenarioPlatforms, _fused_params
+from repro.devices.params import PlatformParams
+from repro.devices.tables import build_tables, resolve_aliases
 from repro.faults.retry import RetryPolicy
 from repro.offload import placement_matrix
 from repro.scenarios import (
@@ -55,7 +60,7 @@ from repro.scenarios import (
 from repro.scenarios.conditions import vectorized_axis
 from repro.tasks import RegularizedLeastSquaresTask, TaskChain, TaskGraph
 
-from factories import random_chain, random_graph, random_platform
+from factories import materialized_params, random_chain, random_graph, random_platform
 
 #: Every stacked array the two build paths must agree on, bit for bit.
 GRID_FIELDS = (
@@ -246,10 +251,61 @@ class TestFusedEqualsMaterializing:
         with pytest.raises(IndexError, match="out of range"):
             fused.platforms[len(grid)]
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_devices=st.integers(1, 4),
+        n_platforms=st.integers(1, 5),
+    )
+    def test_stacked_gather_equals_the_materialized_oracle(self, seed, n_devices, n_platforms):
+        rng = np.random.default_rng(seed)
+        first = random_platform(rng, n_devices)
+        pairs = sorted(first.links)
+        dropped = {pair for pair in pairs if rng.random() < 0.3}
+        platforms = [
+            replace(
+                platform,
+                links={pair: link for pair, link in platform.links.items() if pair not in dropped},
+            )
+            for platform in [first] + [random_platform(rng, n_devices) for _ in range(n_platforms - 1)]
+        ]
+        order = list(first.devices)
+        subset = [order[i] for i in rng.permutation(n_devices)[: rng.integers(1, n_devices + 1)]]
+        for devices in (None, subset):
+            aliases = resolve_aliases(platforms[0], devices)
+            fused = _fused_params(PlatformParams.stack(platforms), aliases, first.host)
+            oracle = materialized_params(platforms, aliases, first.host, tuple(order))
+            for name in oracle.__dataclass_fields__:
+                a, b = getattr(fused, name), getattr(oracle, name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+                else:
+                    assert a == b, name
+
+    def test_stack_keeps_float_rows_after_an_int_valued_first_platform(self):
+        base = edge_cluster_platform()
+
+        def with_costs(cost, idle):
+            return base.with_devices(
+                {
+                    alias: replace(spec, cost_per_hour=cost, power_idle_w=idle)
+                    for alias, spec in base.devices.items()
+                }
+            )
+
+        platforms = [with_costs(0, 3), with_costs(0.25, 3.5)]
+        aliases = tuple(base.aliases)
+        fused = _fused_params(PlatformParams.stack(platforms), aliases, base.host)
+        oracle = materialized_params(platforms, aliases, base.host, tuple(base.devices))
+        for name in ("cost_per_hour", "power_idle", "extra_idle_power"):
+            assert getattr(fused, name).tobytes() == getattr(oracle, name).tobytes(), name
+        assert fused.cost_per_hour[1].tolist() == [0.25] * len(aliases)
+
 
 @dataclass(frozen=True)
 class _UnvectorizedBoost(ConditionAxis):
-    """A custom axis with only the scalar hook: forces the materializing path."""
+    """A custom axis with only the scalar hook: builds through the row adapter."""
 
     name: str = "boost"
 
@@ -262,7 +318,48 @@ class _UnvectorizedBoost(ConditionAxis):
         return platform.with_devices(updates)
 
 
+@dataclass(frozen=True)
+class _LinkBoost(ConditionAxis):
+    """A custom axis on the link floats a shipped axis also scales."""
+
+    name: str = "link-boost"
+
+    def apply(self, platform: Platform, value: float) -> Platform:
+        return platform.with_links(
+            {
+                pair: replace(link, bandwidth_gbs=link.bandwidth_gbs * value + 0.1)
+                for pair, link in platform.links.items()
+            }
+        )
+
+
+@dataclass(frozen=True)
+class _SquaredLoad(DeviceLoadFactor):
+    """A shipped axis subclass overriding only ``apply``: not vectorized."""
+
+    name: str = "squared-load"
+
+    def apply(self, platform: Platform, value: float) -> Platform:
+        return super().apply(platform, value * value)
+
+
+@dataclass(frozen=True)
+class _DropFirstLink(ConditionAxis):
+    """A custom axis that rewires the topology (which conditions must not)."""
+
+    name: str = "drop-link"
+
+    def apply(self, platform: Platform, value: float) -> Platform:
+        first = sorted(platform.links)[0]
+        return replace(
+            platform,
+            links={pair: link for pair, link in platform.links.items() if pair != first},
+        )
+
+
 class TestMaterializingFallback:
+    """Custom axes build through the base ``scale_arrays`` row adapter."""
+
     def test_custom_axis_without_scale_arrays_falls_back(self):
         axis = _UnvectorizedBoost()
         assert not vectorized_axis(axis)
@@ -272,7 +369,7 @@ class TestMaterializingFallback:
         tables = build_tables(chain, base, scenarios=grid)
         materialized = build_tables(chain, grid.platforms(base))
         assert_bitwise_tables(tables, materialized)
-        # The fallback still attaches a build context, so delta rebuilds work.
+        # The build carries its context, so delta rebuilds work.
         new = Scenario(name="boosted", settings=((axis, 3.0),))
         updated = tables.updated(1, new)
         full = build_tables(
@@ -281,12 +378,79 @@ class TestMaterializingFallback:
         assert_bitwise_tables(updated, full)
         assert updated.fingerprint == full.fingerprint
 
-    def test_base_axis_scale_arrays_raises_not_implemented(self):
-        from repro.devices.params import PlatformParams
+    def test_base_scale_arrays_adapter_applies_each_row(self):
+        base = edge_cluster_platform()
+        axis = _UnvectorizedBoost()
+        params = PlatformParams.gather(base, 3)
+        DvfsFrequencyScale().scale_arrays(params, np.array([2]), np.array([0.5]))
+        axis.scale_arrays(params, np.array([0, 2]), np.array([2.0, 3.0]))
+        assert params.platform(0) == axis.apply(base, 2.0)
+        assert params.platform(1) == base
+        assert params.platform(2) == axis.apply(DvfsFrequencyScale().apply(base, 0.5), 3.0)
 
-        params = PlatformParams.gather(edge_cluster_platform(), 1)
-        with pytest.raises(NotImplementedError, match="materializing path"):
-            _UnvectorizedBoost().scale_arrays(params, np.array([0]), np.array([2.0]))
+    def test_shipped_axis_subclass_overriding_apply_uses_the_adapter(self, rng):
+        axis = _SquaredLoad()
+        assert not vectorized_axis(axis)
+        base = edge_cluster_platform()
+        chain = small_chain()
+        grid = ScenarioGrid(
+            tuple(
+                Scenario(f"s{i}", settings=((axis, value), (LinkBandwidthScale(), 0.5)))
+                for i, value in enumerate((1.0, 1.5, 2.0))
+            )
+        )
+        tables = build_tables(chain, base, scenarios=grid)
+        assert_bitwise_tables(tables, build_tables(chain, grid.platforms(base)))
+        # The squared load differs from the vectorized parent's arithmetic.
+        parent = build_tables(
+            chain, base, scenarios=ScenarioGrid.cartesian([(DeviceLoadFactor(), [2.0])])
+        )
+        assert tables.busy[2].tobytes() != parent.busy[0].tobytes()
+        replacements = {
+            0: Scenario("a", settings=((axis, 1.25),)),
+            2: Scenario("b", settings=((DvfsFrequencyScale(), 0.5), (axis, 1.75))),
+        }
+        updated = tables.updated_many(replacements)
+        entries = list(grid.scenarios)
+        for index, scenario in replacements.items():
+            entries[index] = scenario
+        modified = ScenarioGrid(tuple(entries))
+        assert_bitwise_tables(updated, build_tables(chain, modified.platforms(base)))
+        assert updated.fingerprint == build_tables(chain, base, scenarios=modified).fingerprint
+
+    def test_custom_axis_between_shipped_axes(self, rng):
+        base = edge_cluster_platform()
+        graph = random_graph(rng, 4)
+        rows = (
+            ((LinkBandwidthScale(), 0.5), (_LinkBoost(), 2.0), (LinkLatencyScale(), 3.0)),
+            ((DeviceLoadFactor(), 1.5), (_UnvectorizedBoost(), 1.25), (DvfsFrequencyScale(), 0.7)),
+            ((LinkLatencyScale(), 2.0),),
+            ((_LinkBoost(), 0.5), (LinkBandwidthScale(), 0.25)),
+            ((LinkBandwidthScale(), 0.75), (_LinkBoost(), 1.5), (LinkLatencyScale(), 0.5)),
+        )
+        grid = ScenarioGrid(
+            tuple(Scenario(f"s{i}", settings=row) for i, row in enumerate(rows))
+        )
+        tables = build_tables(graph, base, scenarios=grid)
+        materialized = build_tables(graph, grid.platforms(base))
+        assert_bitwise_tables(tables, materialized)
+        assert_bitwise_execution(
+            tables, materialized, placement_matrix(len(graph), len(base.aliases))
+        )
+
+    def test_custom_axis_rewiring_the_topology_is_rejected(self):
+        base = edge_cluster_platform()
+        chain = small_chain()
+        grid = ScenarioGrid(
+            (
+                Scenario("calm", settings=()),
+                Scenario("rewired", settings=((_DropFirstLink(), 1.0),)),
+            )
+        )
+        with pytest.raises(ValueError, match="must not rewire the topology"):
+            build_tables(chain, base, scenarios=grid)
+        with pytest.raises(ValueError, match="must not rewire the topology"):
+            build_tables(chain, grid.platforms(base))
 
 
 class TestDeltaRebuilds:
@@ -409,6 +573,19 @@ class TestSliceCache:
         assert reverted.cache_stats() == GridSliceStats(served=1, built=0)
         assert_bitwise_tables(reverted, tables)
         assert reverted.fingerprint == tables.fingerprint
+
+    def test_custom_axis_grids_serve_slices_and_derive_lazily(self):
+        axis = _UnvectorizedBoost()
+        base = edge_cluster_platform()
+        chain = small_chain()
+        grid = ScenarioGrid.cartesian([(axis, [1.0, 1.5, 2.0])])
+        cache = TableCache()
+        first = build_tables(chain, base, scenarios=grid, slice_cache=cache)
+        assert first.cache_stats() == GridSliceStats(served=0, built=3)
+        second = build_tables(chain, base, scenarios=grid, slice_cache=cache)
+        assert second.cache_stats() == GridSliceStats(served=3, built=0)
+        assert isinstance(second.platforms, ScenarioPlatforms)
+        assert_bitwise_tables(second, build_tables(chain, grid.platforms(base)))
 
     def test_stats_without_context_default_to_all_built(self, rng):
         base = edge_cluster_platform()

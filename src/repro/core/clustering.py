@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .engine import ComparisonEngine
 from .scores import ClusterEntry, FinalClustering, ScoreTable, make_final_clustering
 from .sorting import SortResult, three_way_bubble_sort
 from .types import CompareFn, Label
@@ -39,6 +40,65 @@ def _normalise_labels(labels: Iterable[Label]) -> list[Label]:
     if len(set(out)) != len(out):
         raise ValueError("algorithm labels must be unique")
     return out
+
+
+def _precomputed_codes(compare: CompareFn, algorithms: list[Label]) -> np.ndarray | None:
+    """The engine's int8 outcome matrix restricted to ``algorithms``, if it has one."""
+    if not isinstance(compare, ComparisonEngine) or compare.outcome_codes is None:
+        return None
+    index = compare.label_index
+    if any(label not in index for label in algorithms):
+        return None  # the sequential loop reports the unknown label
+    rows = [index[label] for label in algorithms]
+    return compare.outcome_codes[np.ix_(rows, rows)]
+
+
+def _lockstep_counts(
+    codes: np.ndarray,
+    repetitions: int,
+    generator: np.random.Generator,
+    shuffle: bool,
+) -> list[tuple[int, int, int]]:
+    """All ``Rep`` three-way bubble sorts at once over an outcome matrix.
+
+    ``sequence[k, r]`` is the algorithm at position ``k`` of repetition ``r``.
+    The rank staircase is kept as unit steps ``steps[k] = rank[k] -
+    rank[k - 1]`` with the sentinel ``steps[0] = 1``, which turns every rule
+    of :func:`~repro.core.sorting.three_way_bubble_sort` into one row
+    update: a swap (rule 2b) sets ``steps[j + 1] = steps[j]``, an
+    equivalence (rule 2a) sets ``steps[j + 1] = 0``, a win changes nothing.
+
+    Returns ``(rank, algorithm, count)`` triples in the order in which the
+    sequential loop first meets each (rank, algorithm) pair, i.e. by first
+    ``(repetition, position)``.
+    """
+    p = len(codes)
+    order = np.arange(p)
+    sequence = np.empty((p, repetitions), dtype=np.intp)
+    for r in range(repetitions):
+        if shuffle:
+            generator.shuffle(order)  # the stream of shuffling the label list
+        sequence[:, r] = order
+    steps = np.ones((p, repetitions), dtype=np.int8)
+    flat = codes.ravel()
+    for pass_index in range(1, p):
+        for j in range(p - pass_index):
+            left, right = sequence[j], sequence[j + 1]
+            outcome = flat[left * p + right]
+            worse = outcome < 0
+            sequence[j], sequence[j + 1] = (
+                np.where(worse, right, left),
+                np.where(worse, left, right),
+            )
+            steps[j + 1] = np.where(worse, steps[j], np.where(outcome == 0, 0, steps[j + 1]))
+    ranks = np.cumsum(steps, axis=0)
+    keys = (ranks.T * p + sequence.T).ravel()  # (repetition, position) order
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    return [
+        (key // p, key % p, count)
+        for key, count in zip(unique[by_first].tolist(), counts[by_first].tolist())
+    ]
 
 
 def relative_scores(
@@ -73,6 +133,14 @@ def relative_scores(
     shuffle:
         If False the input order is kept for every repetition (useful for
         deterministic comparators, where shuffling is the only randomness).
+
+    When ``compare`` is a :class:`~repro.core.engine.ComparisonEngine` that
+    holds a precomputed outcome matrix covering ``labels``, the ``Rep`` sorts
+    run in lock step over that matrix, drawing the same shuffles; the table
+    (scores, label order, per-rank order) is bitwise the sequential loop's.
+    Any other ``compare`` -- stochastic or lazily memoizing engines, plain
+    functions -- runs :func:`~repro.core.sorting.three_way_bubble_sort` once
+    per repetition.
     """
     algorithms = _normalise_labels(labels)
     if repetitions <= 0:
@@ -80,14 +148,21 @@ def relative_scores(
     generator = np.random.default_rng(rng)
 
     counts: dict[int, dict[Label, int]] = {}
-    order = list(algorithms)
-    for _ in range(repetitions):
-        if shuffle:
-            generator.shuffle(order)
-        result = three_way_bubble_sort(order, compare)
-        for label, rank in result.pairs():
-            counts.setdefault(rank, {}).setdefault(label, 0)
-            counts[rank][label] += 1
+    codes = _precomputed_codes(compare, algorithms)
+    if codes is not None:
+        for rank, index, count in _lockstep_counts(codes, repetitions, generator, shuffle):
+            counts.setdefault(rank, {})[algorithms[index]] = count
+        p = len(algorithms)
+        compare.record_lookups(repetitions * (p * (p - 1) // 2))
+    else:
+        order = list(algorithms)
+        for _ in range(repetitions):
+            if shuffle:
+                generator.shuffle(order)
+            result = three_way_bubble_sort(order, compare)
+            for label, rank in result.pairs():
+                counts.setdefault(rank, {}).setdefault(label, 0)
+                counts[rank][label] += 1
 
     scores = {
         rank: {label: count / repetitions for label, count in entries.items()}

@@ -25,10 +25,13 @@ import numpy as np
 from scipy import stats
 
 from .bootstrap import (
+    _sorted_median,
+    _sorted_quantiles,
+    _validate_quantiles,
     batched_quantile_profiles,
     bootstrap_indices,
-    bootstrap_quantiles,
     bootstrap_statistic,
+    order_median,
     percentile_interval,
 )
 from .types import Comparison
@@ -179,17 +182,22 @@ class BootstrapComparator(Comparator):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.quantiles, dtype=float)
-        if q.size == 0 or np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must be a non-empty sequence within [0, 1]")
+        try:
+            _validate_quantiles(self.quantiles)
+        except ValueError as exc:
+            raise ValueError(f"BootstrapComparator.quantiles: {exc}") from None
+        # Comparisons written so that NaN fails them too.
         if not 0.0 <= self.equivalence_margin < 0.5:
-            raise ValueError("equivalence_margin must lie in [0, 0.5)")
-        if self.min_relative_difference < 0:
-            raise ValueError("min_relative_difference must be non-negative")
-        if self.n_resamples <= 0:
-            raise ValueError("n_resamples must be positive")
+            raise ValueError("BootstrapComparator.equivalence_margin must lie in [0, 0.5)")
+        if not 0.0 <= self.min_relative_difference < np.inf:
+            raise ValueError(
+                "BootstrapComparator.min_relative_difference must be finite and non-negative, "
+                f"got {self.min_relative_difference}"
+            )
+        if not self.n_resamples > 0:
+            raise ValueError("BootstrapComparator.n_resamples must be positive")
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
+            raise ValueError("BootstrapComparator.confidence must lie strictly between 0 and 1")
         self._stochastic_rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
@@ -208,10 +216,13 @@ class BootstrapComparator(Comparator):
         never diverge.
         """
         alpha = 1.0 - self.confidence
-        lo_a, hi_a = np.quantile(qa, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-        lo_b, hi_b = np.quantile(qb, [alpha / 2.0, 1.0 - alpha / 2.0], axis=axis)
-        mid_a = np.median(qa, axis=axis)
-        mid_b = np.median(qb, axis=axis)
+        # One sort of both profiles serves the interval bounds and the medians.
+        profiles = np.array((qa, qb))
+        profiles.sort(axis=axis + 1)
+        bounds = _sorted_quantiles(profiles, (alpha / 2.0, 1.0 - alpha / 2.0), axis + 1)
+        lead = (slice(None),) * (axis + 1)
+        (lo_a, lo_b), (hi_a, hi_b) = bounds[lead + (0,)], bounds[lead + (1,)]
+        mid_a, mid_b = _sorted_median(profiles, axis + 1)
         tol = self.min_relative_difference * 0.5 * (np.abs(mid_a) + np.abs(mid_b))
         a_wins = (hi_a < lo_b) & (mid_b - mid_a > tol)
         b_wins = (hi_b < lo_a) & (mid_a - mid_b > tol)
@@ -219,8 +230,10 @@ class BootstrapComparator(Comparator):
 
     def _score_levels(self, va: np.ndarray, vb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Per-quantile-level scores for ``a``: 1 win, 0.5 tie, 0 loss."""
-        qa = bootstrap_quantiles(va, self.quantiles, self.n_resamples, rng)
-        qb = bootstrap_quantiles(vb, self.quantiles, self.n_resamples, rng)
+        # bootstrap_quantiles of va, then of vb (same stream), without its
+        # second validation of the already validated data.
+        samples = [np.sort(v[bootstrap_indices(v.size, self.n_resamples, rng)]) for v in (va, vb)]
+        qa, qb = (_sorted_quantiles(s, self.quantiles) for s in samples)
         return self._level_scores(qa, qb, axis=0)
 
     def win_fraction(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -266,8 +279,8 @@ class BootstrapComparator(Comparator):
         bit: per pair the same canonicalisation and per-pair generator are
         used, but the bootstrap quantile profiles of *all* pairs are stacked
         into a single batch (:func:`repro.core.bootstrap.batched_quantile_profiles`)
-        and summarised with a handful of vectorized reductions instead of two
-        ``np.quantile`` round-trips per pair.  Only available in the
+        and summarised with a handful of vectorized reductions instead of
+        per-pair quantile round-trips.  Only available in the
         deterministic mode -- with ``stochastic=True`` every comparison must
         draw fresh resamples, so there is no fixed matrix to precompute.
         """
@@ -287,7 +300,7 @@ class BootstrapComparator(Comparator):
                     continue  # identical data: win fraction stays 0.5
                 slots.append((i, j) if blobs[i] < blobs[j] else (j, i))
         # Batch in chunks: peak memory is 2 * chunk * n_resamples * N floats
-        # regardless of p, while each chunk still amortises np.quantile over
+        # regardless of p, while each chunk still amortises the sorts over
         # hundreds of pairs (per-slice results are independent, so chunking
         # does not change a single bit).
         chunk_pairs = 256
@@ -365,7 +378,7 @@ def MeanComparator(rel_tolerance: float = 0.0, lower_is_better: bool = True) -> 
 
 def MedianComparator(rel_tolerance: float = 0.0, lower_is_better: bool = True) -> SingleStatisticComparator:
     """Single-statistic comparator using the median."""
-    return SingleStatisticComparator(np.median, rel_tolerance, lower_is_better, name="median")
+    return SingleStatisticComparator(order_median, rel_tolerance, lower_is_better, name="median")
 
 
 def MinimumComparator(rel_tolerance: float = 0.0, lower_is_better: bool = True) -> SingleStatisticComparator:
@@ -395,8 +408,8 @@ class MannWhitneyComparator(Comparator):
         result = stats.mannwhitneyu(va, vb, alternative="two-sided")
         if result.pvalue >= self.alpha:
             return Comparison.EQUIVALENT
-        med_a = float(np.median(va))
-        med_b = float(np.median(vb))
+        med_a = float(order_median(va))
+        med_b = float(order_median(vb))
         if med_a == med_b:
             # A significant rank difference with *exactly* tied medians gives
             # no defensible direction; calling it equivalent keeps the
@@ -408,7 +421,7 @@ class MannWhitneyComparator(Comparator):
 
 def _median_profile(m: np.ndarray) -> np.ndarray:
     """Default interval statistic: the median of each resample (picklable, unlike a lambda)."""
-    return np.median(m, axis=-1)
+    return order_median(m, axis=-1)
 
 
 @dataclass

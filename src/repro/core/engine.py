@@ -30,6 +30,15 @@ The engine is itself a :data:`~repro.core.types.CompareFn`, so it plugs
 directly into :func:`~repro.core.sorting.three_way_bubble_sort`,
 :func:`~repro.core.clustering.relative_scores` and friends;
 :func:`~repro.core.types.bind_comparator` is a thin shim over it.
+
+Once :meth:`ComparisonEngine.precompute` has run, the engine also holds the
+outcome matrix as a ``(p, p)`` int8 array (:attr:`~ComparisonEngine.outcome_codes`,
+``1`` better, ``0`` equivalent, ``-1`` worse) with a label -> row map.
+:func:`~repro.core.clustering.relative_scores` then runs all ``Rep`` sorts
+of Procedure 4 in lock step over that array instead of one label-level
+lookup at a time; the result is bitwise the sequential loop's, and the
+comparisons it serves are credited to :attr:`~ComparisonEngine.lookups`.
+Stochastic and lazily memoizing engines always run the sequential loop.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ import numpy as np
 from .types import CompareFn, Comparison, Label
 
 __all__ = ["CachedCompareFn", "ComparisonEngine", "coerce_measurements"]
+
+#: int8 code of each outcome in :attr:`ComparisonEngine.outcome_codes`.
+_CODES = {Comparison.BETTER: 1, Comparison.EQUIVALENT: 0, Comparison.WORSE: -1}
 
 
 def coerce_measurements(measurements) -> dict[Label, np.ndarray]:
@@ -136,6 +148,12 @@ class ComparisonEngine:
     comparator_calls:
         Number of pair evaluations that reached the underlying comparator,
         counting a precomputed matrix as one evaluation per unordered pair.
+    outcome_codes:
+        After :meth:`precompute`, the ``(p, p)`` int8 outcome matrix (``1``
+        better, ``0`` equivalent, ``-1`` worse) with rows and columns in
+        :attr:`label_index` order; ``None`` before.
+    label_index:
+        Mapping ``label -> row`` of :attr:`outcome_codes`.
     """
 
     def __init__(
@@ -149,6 +167,8 @@ class ComparisonEngine:
             raise TypeError("comparator must expose a compare(a, b) method")
         self.arrays = coerce_measurements(measurements)
         self.labels: list[Label] = list(self.arrays)
+        self.label_index: dict[Label, int] = {label: i for i, label in enumerate(self.labels)}
+        self.outcome_codes: np.ndarray | None = None
         self.comparator = comparator
         # Tri-state deterministic contract: cache only on an explicit False.
         self.stochastic = getattr(comparator, "stochastic", True) is not False
@@ -197,14 +217,23 @@ class ComparisonEngine:
                 "omit precompute=True to use lazy memoization instead"
             )
         matrix = self.comparator.outcome_matrix([self.arrays[label] for label in self.labels])
+        p = len(self.labels)
         outcomes: dict[tuple[Label, Label], Comparison] = {}
+        codes = np.empty((p, p), dtype=np.int8)
         for i, a in enumerate(self.labels):
             for j, b in enumerate(self.labels):
                 outcomes[(a, b)] = matrix[i][j]
+                codes[i, j] = _CODES[matrix[i][j]]
         self._cached.seed_cache(outcomes)
-        p = len(self.labels)
+        self.outcome_codes = codes
         self.comparator_calls += p * (p - 1) // 2
         self._precomputed = True
+
+    def record_lookups(self, n: int) -> None:
+        """Credit ``n`` comparisons served from :attr:`outcome_codes` to :attr:`lookups`."""
+        if self._cached is None:
+            raise ValueError("a stochastic engine serves every lookup through the comparator")
+        self._cached.calls += n
 
     # ------------------------------------------------------------------
     def compare(self, a: Label, b: Label) -> Comparison:

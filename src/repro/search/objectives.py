@@ -63,8 +63,14 @@ class WeightedSumObjective:
     label: str = "weighted"
 
     def __post_init__(self) -> None:
-        if self.time_weight < 0 or self.energy_weight < 0 or self.cost_weight < 0:
-            raise ValueError("objective weights must be non-negative")
+        for field_name in ("time_weight", "energy_weight", "cost_weight"):
+            weight = getattr(self, field_name)
+            # Written so that NaN fails the test too.
+            if not 0 <= weight < np.inf:
+                raise ValueError(
+                    f"WeightedSumObjective.{field_name} must be finite and non-negative, "
+                    f"got {weight!r}"
+                )
 
     @property
     def name(self) -> str:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Comparison,
+    ComparisonEngine,
     PairwiseOracle,
     ScoreTable,
     bind_comparator,
@@ -18,6 +19,32 @@ from repro.core import (
     relative_scores,
 )
 from repro.core.comparison import BootstrapComparator, MeanComparator
+
+_OUTCOMES = {1: Comparison.BETTER, 0: Comparison.EQUIVALENT, -1: Comparison.WORSE}
+
+
+class _CodeComparator:
+    """Deterministic array comparator reading a fixed outcome-code matrix.
+
+    Algorithm ``i`` is measured as ``[i]``; ``codes[i, j]`` is its outcome
+    against ``j`` (1 better, 0 equivalent, -1 worse).
+    """
+
+    stochastic = False
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def compare(self, a, b) -> Comparison:
+        return _OUTCOMES[int(self.codes[int(a[0]), int(b[0])])]
+
+    def outcome_matrix(self, arrays):
+        return [[self.compare(a, b) for b in arrays] for a in arrays]
+
+
+def _antisymmetric_codes(rng: np.random.Generator, p: int) -> np.ndarray:
+    upper = np.triu(rng.integers(-1, 2, size=(p, p)), 1)
+    return upper - upper.T
 
 
 class TestRelativeScoresDeterministicOracle:
@@ -201,3 +228,68 @@ class TestClusteringProperties:
                     assert final.cluster_of(a) < final.cluster_of(b)
                 elif classes[a] == classes[b]:
                     assert final.cluster_of(a) == final.cluster_of(b)
+
+
+class TestLockstepProcedure4:
+    """A precomputed engine runs the Rep sorts in lock step; the result is the loop's."""
+
+    @given(
+        p=st.integers(min_value=1, max_value=9),
+        repetitions=st.integers(min_value=1, max_value=25),
+        shuffle=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_equals_sequential_loop(self, p, repetitions, shuffle, seed, data):
+        rng = np.random.default_rng(seed)
+        codes = _antisymmetric_codes(rng, p)
+        labels = [f"alg{i}" for i in range(p)]
+        arrays = {label: [float(i)] for i, label in enumerate(labels)}
+        engine = ComparisonEngine(arrays, _CodeComparator(codes))
+        assert engine.outcome_codes is not None
+        oracle = PairwiseOracle(
+            {
+                (a, b): _OUTCOMES[int(codes[i, j])]
+                for i, a in enumerate(labels)
+                for j, b in enumerate(labels)
+                if i < j
+            }
+        )
+        # Any non-empty subset of the engine's labels, in any order.
+        subset = data.draw(st.permutations(labels))[: data.draw(st.integers(1, p))]
+        lockstep = relative_scores(subset, engine, repetitions=repetitions, rng=seed, shuffle=shuffle)
+        sequential = relative_scores(subset, oracle, repetitions=repetitions, rng=seed, shuffle=shuffle)
+        assert lockstep == sequential
+        assert lockstep.labels == sequential.labels
+        for rank in sequential:
+            assert list(lockstep[rank]) == list(sequential[rank])
+        k = len(subset)
+        assert engine.lookups == oracle.calls == repetitions * (k * (k - 1) // 2)
+
+    def test_generator_left_in_the_same_state(self):
+        codes = _antisymmetric_codes(np.random.default_rng(3), 6)
+        labels = list(range(6))
+        engine = ComparisonEngine({i: [float(i)] for i in labels}, _CodeComparator(codes))
+        oracle = PairwiseOracle(
+            {(a, b): _OUTCOMES[int(codes[a, b])] for a in labels for b in labels if a < b}
+        )
+        g1, g2 = np.random.default_rng(11), np.random.default_rng(11)
+        assert relative_scores(labels, engine, 17, rng=g1) == relative_scores(labels, oracle, 17, rng=g2)
+        assert g1.random() == g2.random()
+
+    def test_lazy_engine_runs_the_sequential_loop(self):
+        codes = _antisymmetric_codes(np.random.default_rng(5), 5)
+        arrays = {i: [float(i)] for i in range(5)}
+        eager = ComparisonEngine(arrays, _CodeComparator(codes))
+        lazy = ComparisonEngine(arrays, _CodeComparator(codes), precompute=False)
+        assert lazy.outcome_codes is None
+        expected = relative_scores(list(arrays), lazy, 9, rng=2)
+        assert relative_scores(list(arrays), eager, 9, rng=2) == expected
+        assert eager.lookups == lazy.lookups == 9 * 10
+
+    def test_unknown_label_still_raises(self):
+        codes = np.array([[0, 1], [-1, 0]])
+        engine = ComparisonEngine({"a": [0.0], "b": [1.0]}, _CodeComparator(codes))
+        with pytest.raises(KeyError, match="zz"):
+            relative_scores(["a", "zz"], engine, repetitions=2, rng=0)

@@ -105,6 +105,28 @@ class TestBootstrapComparator:
         with pytest.raises(ValueError):
             BootstrapComparator(min_relative_difference=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_relative_difference", float("nan")),
+            ("min_relative_difference", float("inf")),
+            ("quantiles", (float("nan"), 0.5)),
+            ("quantiles", (0.5, float("nan"))),
+            ("equivalence_margin", float("nan")),
+            ("confidence", float("nan")),
+            ("n_resamples", float("nan")),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"BootstrapComparator\.{field}"):
+            BootstrapComparator(**{field: value})
+
+    def test_nan_tolerance_no_longer_hides_a_clear_win(self):
+        a = np.linspace(1.0, 2.0, 30)
+        assert BootstrapComparator().compare(a, a + 5.0) is Comparison.BETTER
+        with pytest.raises(ValueError):
+            BootstrapComparator(min_relative_difference=float("nan"))
+
     @given(
         shift=st.floats(min_value=0.0, max_value=3.0),
         scale=st.floats(min_value=0.05, max_value=0.5),

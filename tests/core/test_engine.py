@@ -92,6 +92,15 @@ class TestEngineOutcomes:
                 if a == b:
                     assert outcomes[(a, b)] is Comparison.EQUIVALENT
 
+    @pytest.mark.parametrize("comparator", DETERMINISTIC_COMPARATORS[:2], ids=_ids)
+    def test_outcome_codes_match_outcome_table(self, table, comparator):
+        engine = ComparisonEngine(table, comparator)
+        codes = {Comparison.BETTER: 1, Comparison.EQUIVALENT: 0, Comparison.WORSE: -1}
+        assert engine.outcome_codes.dtype == np.int8
+        for (a, b), outcome in engine.outcome_table().items():
+            row, column = engine.label_index[a], engine.label_index[b]
+            assert engine.outcome_codes[row, column] == codes[outcome]
+
     def test_precomputed_matrix_matches_lazy_memoization(self, table):
         comparator = BootstrapComparator(seed=3)
         eager = ComparisonEngine(table, comparator, precompute=True)

@@ -339,6 +339,12 @@ class TestObjectives:
         with pytest.raises(ValueError):
             WeightedSumObjective(time_weight=-1.0)
 
+    @pytest.mark.parametrize("field", ["time_weight", "energy_weight", "cost_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_weighted_sum_rejects_non_finite_weights(self, field, value):
+        with pytest.raises(ValueError, match=rf"WeightedSumObjective\.{field}"):
+            WeightedSumObjective(**{field: value})
+
     def test_decision_objective_matches_model(self, small_space):
         *_, batch, profiles = small_space
         model = DecisionModel(cost_weight=250.0)
